@@ -9,9 +9,9 @@ overrides; dotted keys reach nested sections, e.g.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import mock_segmenter
@@ -30,7 +30,7 @@ from .monitor import (
     write_report,
 )
 from .nifti import load_nifti, save_nifti
-from .pipeline import PipelineState, run_phase, run_pipeline
+from .pipeline import open_state, run_phase, run_pipeline
 from .postprocess import DEFAULT_KEEP_LARGEST_CLASSES, keep_largest
 from .preprocess import ResampleSpec, clip_normalize, resample_image, resample_labels
 from .tta import FlipSpec, aggregate, argmax_labels, enumerate_flips
@@ -91,17 +91,6 @@ def _work_dir(args) -> Path:
     raise _UsageError("pass --work (or --state) to locate the run directory")
 
 
-def _open_state(work: Path, config: PipelineConfig, fresh: bool) -> PipelineState:
-    state_path = work / "state.json"
-    if state_path.exists() and not fresh:
-        state = PipelineState.load(state_path)
-        if state.config_snapshot != json.loads(json.dumps(config.to_dict())):
-            raise VoxsegError(f"{state_path} was created with a different config")
-        return state
-    work.mkdir(parents=True, exist_ok=True)
-    return PipelineState.fresh(state_path, config)
-
-
 def cmd_run(args) -> int:
     _require(args, "manifest")
     config = load_config(args.config, args.overrides)
@@ -121,7 +110,7 @@ def cmd_phase(args) -> int:
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
     work = _work_dir(args)
-    state = _open_state(work, config, args.fresh)
+    state = open_state(work, config, resume=not args.fresh)
     run_phase(state, manifest, config.segmenter, config, args.phase)
     last = state.history[-1]
     print(
@@ -140,13 +129,7 @@ def _fuse_policy(config: PipelineConfig, names: list[str]) -> FusionPolicy:
         return policy
     # config priority does not cover these sources; fall back to CLI order
     log.info("using source order %s for tie-breaking", names)
-    return FusionPolicy(
-        source_priority=tuple(names),
-        gt_overrides=policy.gt_overrides,
-        tumor_overrides_organ=policy.tumor_overrides_organ,
-        gt_background_trust=policy.gt_background_trust,
-        min_votes=policy.min_votes,
-    )
+    return replace(policy, source_priority=tuple(names))
 
 
 def _io_pairs(inputs: list[Path], out: Path):

@@ -59,9 +59,6 @@ class PipelineConfig:
     workers: int = 1
     phase_order: tuple[str, ...] = ("tumor", "organ")
     eval_cases: tuple[str, ...] = ()
-    # optional early stop: end a phase when the mean fraction of changed
-    # pseudo-label voxels drops below this
-    stop_change_fraction: float | None = None
     external_label_dirs: dict[str, str] = field(default_factory=dict)
     segmenter: SegmenterContract | None = None
     monitor_period_s: float = DEFAULT_PERIOD_S

@@ -1,5 +1,7 @@
-"""Segmentation accuracy metrics: per-class DSC and NSD with an exact
-anisotropic Euclidean distance transform, plus cohort aggregation.
+"""Segmentation accuracy metrics: per-class DSC and NSD, plus cohort
+aggregation. The exact anisotropic Euclidean distance transform and the
+surface extraction are SciPy's (``ndimage.distance_transform_edt`` and
+``ndimage.binary_erosion``).
 
 Conventions: a class empty in both maps scores 1.0 (flagged absent);
 empty in exactly one scores 0.0. Surfaces are foreground voxels with a
@@ -13,11 +15,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import VoxsegError
-from .volume import CLASS_NAMES, ORGAN_CLASSES, TUMOR_CLASS, Spacing, Volume
+from .volume import CLASS_NAMES, ORGAN_CLASSES, TUMOR_CLASS, Spacing, Volume, as_binary
 
-_INF = 1e30  # large finite stand-in so envelope arithmetic stays NaN-free
+_FACE_NEIGHBORS = ndimage.generate_binary_structure(3, 1)
 
 
 @dataclass(frozen=True)
@@ -31,20 +34,10 @@ class NsdParams:
             raise VoxsegError(f"tau must be positive, got {self.tau}")
 
 
-def _as_binary(mask: np.ndarray, name: str) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype == bool:
-        return mask
-    values = np.unique(mask)
-    if not set(values.tolist()) <= {0, 1}:
-        raise VoxsegError(f"{name} must be binary, found values {values[:8].tolist()}")
-    return mask.astype(bool)
-
-
 def dsc(pred: np.ndarray, gt: np.ndarray) -> float:
     """Dice similarity 2|A∩B| / (|A|+|B|); both empty -> 1, one empty -> 0."""
-    pred = _as_binary(pred, "pred")
-    gt = _as_binary(gt, "gt")
+    pred = as_binary(pred, "pred")
+    gt = as_binary(gt, "gt")
     if pred.shape != gt.shape:
         raise VoxsegError(f"dim mismatch: pred {pred.shape} vs gt {gt.shape}")
     p = int(pred.sum())
@@ -57,87 +50,28 @@ def dsc(pred: np.ndarray, gt: np.ndarray) -> float:
     return 2.0 * inter / (p + g)
 
 
-def _envelope_pass(lines: np.ndarray, step: float) -> np.ndarray:
-    """1D squared-distance transform g[i] = min_j (f[j] + (step*(i-j))^2)
-    applied to each row, via the lower envelope of parabolas."""
-    n_lines, n = lines.shape
-    out = np.empty_like(lines)
-    v = np.empty(n, dtype=np.int64)
-    z = np.empty(n + 1, dtype=np.float64)
-    w2 = step * step
-    for li in range(n_lines):
-        f = lines[li]
-        k = 0
-        v[0] = 0
-        z[0] = -np.inf  # true infinities: intersections are always finite
-        z[1] = np.inf
-        for q in range(1, n):
-            fq = f[q] + w2 * q * q
-            while True:
-                p = v[k]
-                s = (fq - (f[p] + w2 * p * p)) / (2.0 * w2 * (q - p))
-                if s <= z[k]:
-                    k -= 1
-                else:
-                    break
-            k += 1
-            v[k] = q
-            z[k] = s
-            z[k + 1] = np.inf
-        k = 0
-        row = out[li]
-        for q in range(n):
-            while z[k + 1] < q:
-                k += 1
-            d = step * (q - v[k])
-            row[q] = d * d + f[v[k]]
-    return out
-
-
 def edt(mask: np.ndarray, spacing: Spacing) -> np.ndarray:
     """Exact Euclidean distance (mm) from each voxel center to the nearest
     foreground voxel center. All-background input yields +inf everywhere."""
-    mask = _as_binary(mask, "mask")
+    mask = as_binary(mask)
     if not mask.any():
         return np.full(mask.shape, np.inf)
-    f = np.where(mask, 0.0, _INF)
-    for axis, step in enumerate(spacing.as_tuple()):
-        moved = np.moveaxis(f, axis, -1)
-        shape = moved.shape
-        f = np.moveaxis(
-            _envelope_pass(np.ascontiguousarray(moved.reshape(-1, shape[-1])), step).reshape(shape),
-            -1,
-            axis,
-        )
-    out = np.sqrt(f)
-    out[f >= _INF / 2] = np.inf  # safety net; real distances stay far below
-    return out
+    return ndimage.distance_transform_edt(~mask, sampling=spacing.as_tuple())
 
 
 def surface_voxels(mask: np.ndarray) -> np.ndarray:
     """Foreground voxels with at least one 6-neighbor that is background
     or outside the grid."""
-    mask = _as_binary(mask, "mask")
-    interior = np.ones_like(mask)
-    for axis in range(3):
-        lo = np.roll(mask, 1, axis=axis)
-        hi = np.roll(mask, -1, axis=axis)
-        # grid boundary counts as background
-        idx = [slice(None)] * 3
-        idx[axis] = 0
-        lo[tuple(idx)] = False
-        idx[axis] = -1
-        hi[tuple(idx)] = False
-        interior &= lo & hi
-    return mask & ~interior
+    mask = as_binary(mask)
+    return mask & ~ndimage.binary_erosion(mask, _FACE_NEIGHBORS, border_value=0)
 
 
 def nsd(pred: np.ndarray, gt: np.ndarray, spacing: Spacing, params: NsdParams | None = None) -> float:
     """Normalized surface dice: the fraction of both masks' surface voxels
     lying within tau of the opposing surface."""
     params = params or NsdParams()
-    pred = _as_binary(pred, "pred")
-    gt = _as_binary(gt, "gt")
+    pred = as_binary(pred, "pred")
+    gt = as_binary(gt, "gt")
     if pred.shape != gt.shape:
         raise VoxsegError(f"dim mismatch: pred {pred.shape} vs gt {gt.shape}")
     p_any = bool(pred.any())

@@ -634,6 +634,25 @@ def _build_report(state: PipelineState) -> dict:
     }
 
 
+def open_state(work, config: PipelineConfig, resume: bool = True) -> PipelineState:
+    """Resume ``work/state.json`` when ``resume`` is set and the file
+    exists, else start a fresh state there. A saved state may only be
+    resumed under the config it was created with."""
+    work = Path(work)
+    work.mkdir(parents=True, exist_ok=True)
+    state_path = work / "state.json"
+    if not (resume and state_path.exists()):
+        return PipelineState.fresh(state_path, config)
+    state = PipelineState.load(state_path)
+    if state.config_snapshot != json.loads(json.dumps(config.to_dict())):
+        raise PipelineError(
+            f"{state_path} was created with a different config; "
+            "pass a fresh work directory or the original config"
+        )
+    log.info("resuming from %s (phase %s, round %d)", state_path, state.phase, state.round)
+    return state
+
+
 def run_pipeline(
     manifest: Manifest,
     contract: SegmenterContract | None,
@@ -644,19 +663,7 @@ def run_pipeline(
     """Drive all configured phases to completion and write report.json."""
     _validate_run(manifest, config, contract)
     work = Path(work)
-    work.mkdir(parents=True, exist_ok=True)
-    state_path = work / "state.json"
-    if resume and state_path.exists():
-        state = PipelineState.load(state_path)
-        snapshot = json.loads(json.dumps(config.to_dict()))
-        if state.config_snapshot != snapshot:
-            raise PipelineError(
-                f"{state_path} was created with a different config; "
-                "pass a fresh work directory or the original config"
-            )
-        log.info("resuming from %s (phase %s, round %d)", state_path, state.phase, state.round)
-    else:
-        state = PipelineState.fresh(state_path, config)
+    state = open_state(work, config, resume)
 
     while state.phase != DONE:
         phase = state.phase

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import VoxsegError
-from .volume import ORGAN_CLASSES, Volume, check_labelmap
+from .volume import ORGAN_CLASSES, Volume, as_binary, check_labelmap
 
 DEFAULT_CONNECTIVITY = 26
 # Tumors are multifocal; they are excluded from largest-component pruning
@@ -40,25 +40,10 @@ def _structure(connectivity: int) -> np.ndarray:
 
 def connected_components(mask: np.ndarray, connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentMap:
     """Label connected foreground regions of a binary mask."""
-    mask = np.asarray(mask)
-    if mask.dtype != bool:
-        values = np.unique(mask)
-        if not set(values.tolist()) <= {0, 1}:
-            raise VoxsegError(f"mask must be binary, found values {values[:8].tolist()}")
-        mask = mask.astype(bool)
-    raw, n = ndimage.label(mask, structure=_structure(connectivity))
-    if n == 0:
-        return ComponentMap(raw.astype(np.int32), np.zeros(0, dtype=np.int64))
-    # Renumber so ids follow first encounter in x-fastest scan order.
-    flat = raw.ravel(order="F")
-    ids, first_idx = np.unique(flat, return_index=True)
-    nz = ids != 0
-    order = np.argsort(first_idx[nz])
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[ids[nz][order]] = np.arange(1, n + 1, dtype=np.int32)
-    labels = remap[raw]
+    # Labelling the transpose numbers components in x-fastest scan order.
+    labels, n = ndimage.label(as_binary(mask).T, structure=_structure(connectivity))
     sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:].astype(np.int64)
-    return ComponentMap(labels, sizes)
+    return ComponentMap(labels.T, sizes)
 
 
 def keep_largest(

@@ -38,20 +38,10 @@ class NormalizationParams:
 
 @dataclass(frozen=True)
 class ResampleSpec:
-    """Target geometry for resampling; interpolation modes are fixed."""
+    """Target geometry for resampling. Images are interpolated linearly
+    along each axis, labels by nearest neighbor."""
 
     target: Spacing
-    in_plane_mode: str = "trilinear"
-    through_plane_mode: str = "linear"
-    label_mode: str = "nearest"
-
-    def __post_init__(self):
-        if self.in_plane_mode != "trilinear":
-            raise VoxsegError(f"unsupported in-plane mode {self.in_plane_mode!r}")
-        if self.through_plane_mode != "linear":
-            raise VoxsegError(f"unsupported through-plane mode {self.through_plane_mode!r}")
-        if self.label_mode != "nearest":
-            raise VoxsegError(f"unsupported label mode {self.label_mode!r}")
 
 
 def clip_normalize(vol: Volume, params: NormalizationParams | None = None) -> Volume:

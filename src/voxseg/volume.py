@@ -100,6 +100,17 @@ class Volume:
         )
 
 
+def as_binary(mask, name: str = "mask") -> np.ndarray:
+    """Return ``mask`` as a bool array; only bool or 0/1 values are accepted."""
+    mask = np.asarray(mask)
+    if mask.dtype == bool:
+        return mask
+    values = np.unique(mask)
+    if not set(values.tolist()) <= {0, 1}:
+        raise VoxsegError(f"{name} must be binary, found values {values[:8].tolist()}")
+    return mask.astype(bool)
+
+
 def check_labelmap(vol: Volume) -> Volume:
     """Validate that ``vol`` is a label map: uint8 values in 0..14."""
     if vol.data.dtype != np.uint8:

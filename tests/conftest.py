@@ -44,6 +44,24 @@ def rand_labels(rng, shape, classes) -> np.ndarray:
     return rng.choice(np.asarray(classes, dtype=np.uint8), size=shape)
 
 
+def oracle_masks(rng, n, lo, hi, layout_rounds=4):
+    """``n`` random 6x6x6 masks of density drawn from U(lo, hi), then
+    ``layout_rounds`` rounds of masks in layouts that array kernels can
+    get wrong: non-cubic shapes with a singleton axis, Fortran order,
+    flipped views and strided slices."""
+    for _ in range(n):
+        yield rng.random((6, 6, 6)) < rng.uniform(lo, hi)
+    for _ in range(layout_rounds):
+        p = rng.uniform(lo, hi)
+        yield rng.random((1, 5, 7)) < p
+        yield rng.random((7, 1, 4)) < p
+        yield rng.random((3, 6, 1)) < p
+        yield np.asfortranarray(rng.random((4, 7, 5)) < p)
+        yield np.flip(rng.random((5, 6, 4)) < p, axis=(0, 2))
+        yield (rng.random((8, 6, 8)) < p)[::2, 1:, ::-3]
+        yield np.asfortranarray(rng.random((7, 8, 6)) < p)[1::2, ::3]
+
+
 def rand_spacing(rng) -> Spacing:
     return Spacing(*np.round(rng.uniform(0.4, 4.0, size=3), 3).tolist())
 

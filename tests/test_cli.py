@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from voxseg.cli import main
+from voxseg.config import load_config
+from voxseg.pipeline import PipelineState
 from voxseg.nifti import load_nifti, save_nifti
 from voxseg.tta import apply_flip_prob, argmax_labels, enumerate_flips
 from voxseg.volume import ProbMap, Spacing, Volume
@@ -94,6 +97,21 @@ def test_fuse_vote_cli_order_breaks_ties(tmp_path):
     out2 = tmp_path / "fused2.nii.gz"
     main(["fuse", "--mode", "vote", "--source", f"B={b}", "--source", f"A={a}", "--out", str(out2)])
     assert (load_nifti(out2).data == 2).all()
+
+
+def test_fuse_vote_cli_order_keeps_min_votes(tmp_path):
+    # Sources missing from the config's priority fall back to CLI order;
+    # the other policy fields, min_votes here, must survive that.
+    srcs = {"A": [1, 1], "B": [2, 1], "C": [3, 4]}
+    args = ["fuse", "--mode", "vote"]
+    for name, values in srcs.items():
+        _save_lab(tmp_path / f"{name}.nii", np.reshape(values, (2, 1, 1)))
+        args += ["--source", f"{name}={tmp_path / name}.nii"]
+    out = tmp_path / "fused.nii"
+    assert main(args + ["--out", str(out)]) == 0
+    assert load_nifti(out).data.ravel().tolist() == [1, 1]
+    assert main(args + ["--out", str(out), "--set", "fusion.min_votes=2"]) == 0
+    assert load_nifti(out).data.ravel().tolist() == [0, 1]
 
 
 def test_fuse_vote_needs_two_sources(tmp_path):
@@ -339,3 +357,18 @@ def test_phase_cli_single_round(fixture_dataset, tmp_path, capsys):
     assert "phase tumor round 0: fused 4/4" in out
     state = json.loads((tmp_path / "work" / "state.json").read_text())
     assert state["round"] == 1
+
+
+def test_phase_cli_refuses_work_from_other_config(fixture_dataset, tmp_path, capsys):
+    work = tmp_path / "work"
+    base = ["phase", "--phase", "tumor",
+            "--manifest", str(fixture_dataset["manifest"]),
+            "--config", str(fixture_dataset["config"]),
+            "--work", str(work)]
+    config = load_config(fixture_dataset["config"])
+    work.mkdir()
+    PipelineState.fresh(work / "state.json", replace(config, nsd_tau=config.nsd_tau * 2))
+    before = (work / "state.json").read_text()
+    assert main(base) == 1
+    assert "different config" in capsys.readouterr().err
+    assert (work / "state.json").read_text() == before

@@ -23,7 +23,7 @@ from voxseg.metrics import (
 )
 from voxseg.volume import Spacing, Volume
 
-from conftest import rand_spacing, vol
+from conftest import oracle_masks, rand_spacing, vol
 from oracles import dsc_ref, edt_ref, nsd_ref, surface_ref
 
 
@@ -80,8 +80,7 @@ def test_edt_foreground_is_zero():
 
 def test_edt_matches_brute_force_oracle():
     rng = np.random.default_rng(6)
-    for _ in range(30):
-        mask = rng.random((6, 6, 6)) < rng.uniform(0.05, 0.5)
+    for mask in oracle_masks(rng, 30, 0.05, 0.5):
         sp = rand_spacing(rng)
         got = edt(mask, sp)
         want = edt_ref(mask, sp.as_tuple())
@@ -109,8 +108,7 @@ def test_surface_voxels_grid_boundary_counts_as_background():
 
 def test_surface_voxels_match_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        mask = rng.random((6, 6, 6)) < rng.uniform(0.1, 0.9)
+    for mask in oracle_masks(rng, 40, 0.1, 0.9):
         assert np.array_equal(surface_voxels(mask), surface_ref(mask))
 
 

@@ -12,7 +12,7 @@ from voxseg.postprocess import (
 )
 from voxseg.volume import ORGAN_CLASSES, Spacing, Volume
 
-from conftest import vol
+from conftest import oracle_masks, vol
 from oracles import components_ref
 
 
@@ -73,8 +73,7 @@ def test_components_rejects_bad_connectivity():
 
 def test_components_match_flood_fill_oracle():
     rng = np.random.default_rng(77)
-    for _ in range(60):
-        mask = rng.random((6, 6, 6)) < rng.uniform(0.1, 0.6)
+    for mask in oracle_masks(rng, 60, 0.1, 0.6):
         for conn in (6, 26):
             got = connected_components(mask, conn)
             want_labels, want_sizes = components_ref(mask, conn)

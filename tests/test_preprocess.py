@@ -55,15 +55,6 @@ def test_normalization_params_validation():
         NormalizationParams(std=0.0)
 
 
-def test_resample_spec_modes_fixed():
-    spec = ResampleSpec(Spacing(1, 1, 1))
-    assert spec.in_plane_mode == "trilinear"
-    with pytest.raises(VoxsegError):
-        ResampleSpec(Spacing(1, 1, 1), in_plane_mode="cubic")
-    with pytest.raises(VoxsegError):
-        ResampleSpec(Spacing(1, 1, 1), label_mode="linear")
-
-
 def test_sample_coords_halving_spacing():
     # 4 voxels at 1.0 mm resampled to 0.5 mm -> 8 output voxels at
     # coords 0.0 (clamped from -0.25), 0.25, 0.75, ..., 2.75, 3.0.
