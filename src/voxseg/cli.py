@@ -30,8 +30,8 @@ from .monitor import (
     write_report,
 )
 from .nifti import load_nifti, save_nifti
-from .pipeline import open_state, run_phase, run_pipeline
-from .postprocess import DEFAULT_KEEP_LARGEST_CLASSES, keep_largest
+from .pipeline import index_prob_maps, load_prob_map, open_state, run_phase, run_pipeline
+from .postprocess import keep_largest
 from .preprocess import ResampleSpec, clip_normalize, resample_image, resample_labels
 from .tta import FlipSpec, aggregate, argmax_labels, enumerate_flips
 from .volume import Spacing, check_labelmap
@@ -305,14 +305,14 @@ def cmd_monitor(args) -> int:
 
 def cmd_tta_aggregate(args) -> int:
     _require(args, "input_dir", "case", "out")
-    from .pipeline import _load_prob_map  # shared parsing of _prob_ outputs
-
     raw = Path(args.input_dir)
+    maps = index_prob_maps(raw)
     if args.no_flips:
-        entries = [(FlipSpec(False, False, False), _load_prob_map(raw, args.case))]
+        entries = [(FlipSpec(False, False, False), load_prob_map(maps, raw, args.case))]
     else:
         entries = [
-            (spec, _load_prob_map(raw, f"{args.case}__tta{spec.tag}")) for spec in enumerate_flips()
+            (spec, load_prob_map(maps, raw, f"{args.case}__tta{spec.tag}"))
+            for spec in enumerate_flips()
         ]
     merged = aggregate(entries)
     save_nifti(argmax_labels(merged), args.out)

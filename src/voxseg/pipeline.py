@@ -8,11 +8,14 @@ ground truth, and persist the fused pseudo labels.  A final merge stage
 combines the per-phase labels (plus any external pseudo-label sources)
 into complete 14-class maps.
 
-State lives in ``<work>/state.json``, rewritten atomically after every
-step; fused files carry content digests so a killed run resumes without
-recomputing finished cases.  Work directory layout:
+State lives in ``<work>/state.json``, a snapshot rewritten atomically at
+every stage boundary, plus ``state.json.journal``, which gets one JSON line
+per finished case and is emptied by the next snapshot.  Fused files carry
+content digests so a killed run resumes without recomputing finished
+cases.  Work directory layout:
 
-    state.json
+    state.json                      snapshot at the last stage boundary
+    state.json.journal              per-case outcomes since that snapshot
     rounds/<phase>_r<k>/
       train_images/ train_labels/   teacher set handed to train_cmd
       model/                        segmenter model_dir
@@ -66,6 +69,7 @@ FAILED = "failed"
 
 STATE_VERSION = 1
 # test hook: kill the process (os._exit) right after the Nth state write
+# (snapshot or journal append)
 CRASH_ENV = "VOXSEG_CRASH_AFTER"
 
 _PROB_TAIL = re.compile(r"_prob_(\d+)\.nii(\.gz)?$")
@@ -104,15 +108,20 @@ def _ext(path) -> str:
 
 
 class PipelineState:
-    """Mutable run state, persisted as JSON after every step.
+    """Mutable run state: a JSON snapshot plus an append-only case journal.
 
-    All mutators take the internal lock and persist before returning, so
-    the on-disk file never lags behind completed work by more than the
-    step in flight.
+    Stage-boundary mutators (and ``persist``) rewrite the snapshot
+    atomically and empty the journal; ``set_case`` appends one line to the
+    journal instead, so recording a case costs the same at any cohort
+    size.  Every write bumps ``persist_count``; ``load`` replays the
+    journal lines numbered past the snapshot's count.  All mutators take
+    the internal lock and write before returning, so the files on disk
+    never lag behind completed work by more than the step in flight.
     """
 
     def __init__(self, path, data: dict):
         self.path = Path(path)
+        self.journal = self.path.with_name(self.path.name + ".journal")
         self.data = data
         self._lock = threading.RLock()
 
@@ -129,6 +138,8 @@ class PipelineState:
             "config": config.to_dict(),
         }
         state = cls(path, data)
+        # an earlier run's journal numbers its lines past this state's count
+        state.journal.unlink(missing_ok=True)
         state.persist()
         return state
 
@@ -140,7 +151,35 @@ class PipelineState:
             raise PipelineError(f"cannot read state {path}: {exc}") from exc
         if data.get("version") != STATE_VERSION:
             raise PipelineError(f"{path}: unsupported state version {data.get('version')!r}")
-        return cls(path, data)
+        state = cls(path, data)
+        state._replay_journal()
+        return state
+
+    def _replay_journal(self) -> None:
+        """Apply journal lines written after the snapshot, in order.
+
+        Lines numbered at or below the snapshot's count predate it (a kill
+        between snapshot and truncation).  A torn last line (undecodable or
+        unterminated) ends the replay and is cut off, so the next append
+        starts on a line of its own.
+        """
+        try:
+            raw = self.journal.read_bytes()
+        except FileNotFoundError:
+            return
+        good = 0
+        for line in raw.splitlines(keepends=True):
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("unterminated line")
+                rec = json.loads(line)
+            except ValueError:
+                os.truncate(self.journal, good)
+                return
+            good += len(line)
+            if rec["n"] > self.data["persist_count"]:
+                self.data["cases"][rec["case"]] = rec["entry"]
+                self.data["persist_count"] = rec["n"]
 
     @property
     def work_dir(self) -> Path:
@@ -173,13 +212,18 @@ class PipelineState:
         return self.data["cases"].get(case_id)
 
     def persist(self) -> None:
+        """Write the snapshot and empty the journal it now covers."""
         with self._lock:
             self.data["persist_count"] += 1
             _write_json(self.data, self.path)
-            crash_after = os.environ.get(CRASH_ENV)
-            if crash_after and self.data["persist_count"] == int(crash_after):
-                log.warning("crash hook: exiting after persist #%s", crash_after)
-                os._exit(137)
+            self.journal.write_bytes(b"")
+            self._crash_hook()
+
+    def _crash_hook(self) -> None:
+        crash_after = os.environ.get(CRASH_ENV)
+        if crash_after and self.data["persist_count"] == int(crash_after):
+            log.warning("crash hook: exiting after persist #%s", crash_after)
+            os._exit(137)
 
     def mark_trained(self, student_ids) -> None:
         with self._lock:
@@ -198,7 +242,11 @@ class PipelineState:
     def set_case(self, case_id: str, entry: dict) -> None:
         with self._lock:
             self.data["cases"][case_id] = entry
-            self.persist()
+            self.data["persist_count"] += 1
+            line = json.dumps({"n": self.data["persist_count"], "case": case_id, "entry": entry})
+            with open(self.journal, "a") as fh:
+                fh.write(line + "\n")
+            self._crash_hook()
 
     def end_round(self, record: dict) -> None:
         with self._lock:
@@ -311,12 +359,25 @@ def _write_predict_inputs(
             save_nifti(apply_flip(image, spec), img_dir / f"{rec.case_id}__tta{spec.tag}.nii.gz")
 
 
-def _load_prob_map(raw_dir: Path, base: str) -> ProbMap:
-    paths = {}
-    for p in sorted(raw_dir.glob(f"{base}_prob_*.nii*")):
-        m = _PROB_TAIL.search(p.name)
-        if m and p.name[: m.start()] == base:
-            paths[int(m.group(1))] = p
+def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:
+    """``{base: {class_id: path}}`` for every ``<base>_prob_<c>.nii[.gz]`` in
+    ``raw_dir``, from one listing; ``.nii.gz`` wins over ``.nii`` for a
+    channel.  A missing directory indexes as empty, so each case then
+    fails on its own."""
+    index: dict[str, dict[int, Path]] = {}
+    try:
+        names = sorted(os.listdir(raw_dir))
+    except OSError:
+        return index
+    for name in names:
+        m = _PROB_TAIL.search(name)
+        if m:
+            index.setdefault(name[: m.start()], {})[int(m.group(1))] = raw_dir / name
+    return index
+
+
+def load_prob_map(index: dict[str, dict[int, Path]], raw_dir: Path, base: str) -> ProbMap:
+    paths = index.get(base)
     if not paths:
         raise VoxsegError(f"segmenter wrote no probability maps for {base!r} in {raw_dir}")
     classes = tuple(sorted(paths))
@@ -329,7 +390,7 @@ def _load_prob_map(raw_dir: Path, base: str) -> ProbMap:
 
 
 def _predicted_labels(
-    rec: CaseRecord, raw_dir: Path, contract: SegmenterContract, use_tta: bool
+    rec: CaseRecord, raw_dir: Path, prob_maps: dict, contract: SegmenterContract, use_tta: bool
 ) -> Volume:
     """Read the segmenter's output for one case and reduce it to labels."""
     if contract.output_mode == "labels":
@@ -339,20 +400,19 @@ def _predicted_labels(
                 return check_labelmap(load_nifti(path))
         raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
     if use_tta:
-        entries = []
-        for spec in enumerate_flips():
-            entries.append((spec, _load_prob_map(raw_dir, f"{rec.case_id}__tta{spec.tag}")))
+        bases = [(spec, f"{rec.case_id}__tta{spec.tag}") for spec in enumerate_flips()]
     else:
-        entries = [(FlipSpec(False, False, False), _load_prob_map(raw_dir, rec.case_id))]
+        bases = [(FlipSpec(False, False, False), rec.case_id)]
+    entries = [(spec, load_prob_map(prob_maps, raw_dir, base)) for spec, base in bases]
     return argmax_labels(aggregate(entries))
 
 
 def _process_case(
     rec: CaseRecord, manifest: Manifest, config: PipelineConfig, contract: SegmenterContract,
-    phase: str, rd: Path, store: Path, use_tta: bool,
+    phase: str, rd: Path, store: Path, prob_maps: dict, use_tta: bool,
 ) -> dict:
     classes = PHASE_CLASSES[phase]
-    labels = _predicted_labels(rec, rd / "predict_raw", contract, use_tta)
+    labels = _predicted_labels(rec, rd / "predict_raw", prob_maps, contract, use_tta)
     keep_classes = [c for c in config.keep_largest_classes if c in classes]
     if keep_classes:
         labels = keep_largest(labels, keep_classes, config.connectivity)
@@ -476,6 +536,7 @@ def run_phase(
         state.mark_predicted()
 
     (rd / "fused").mkdir(exist_ok=True)
+    prob_maps = index_prob_maps(rd / "predict_raw")
     todo = []
     for rec in students:
         entry = state.case_entry(rec.case_id) or {}
@@ -487,7 +548,9 @@ def run_phase(
 
     def fuse_one(rec: CaseRecord):
         try:
-            return rec.case_id, _process_case(rec, manifest, config, contract, phase, rd, store, use_tta)
+            return rec.case_id, _process_case(
+                rec, manifest, config, contract, phase, rd, store, prob_maps, use_tta
+            )
         except (VoxsegError, OSError) as exc:
             log.warning("case %s failed: %s", rec.case_id, exc)
             return rec.case_id, {"status": FAILED, "error": str(exc)}

@@ -1,15 +1,18 @@
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
 from voxseg.config import PipelineConfig, SegmenterContract, load_config
-from voxseg.errors import PipelineError, SegmenterError
+from voxseg.errors import PipelineError, SegmenterError, VoxsegError
 from voxseg.fixture import make_label
 from voxseg.manifest import load_manifest
 from voxseg.nifti import load_nifti, save_nifti
+from voxseg import pipeline
 from voxseg.pipeline import (
+    CRASH_ENV,
     FUSED,
     MERGE,
     PHASE_CLASSES,
@@ -17,6 +20,8 @@ from voxseg.pipeline import (
     _restrict,
     _student_records,
     _teacher_records,
+    index_prob_maps,
+    load_prob_map,
     run_merge,
     run_phase,
     run_pipeline,
@@ -88,11 +93,166 @@ def test_state_mutators_persist(tmp_path):
     state.set_case("x", {"status": FUSED, "digest": "d"})
     ondisk = json.loads((tmp_path / "state.json").read_text())
     assert ondisk["stage"] == {"trained": True, "predicted": True}
-    assert ondisk["cases"]["x"]["status"] == FUSED
-    assert ondisk["cases"]["y"]["status"] == "pseudo_labeled"
-    assert ondisk["persist_count"] == 4
+    resumed = PipelineState.load(tmp_path / "state.json").data
+    assert resumed["cases"]["x"]["status"] == FUSED
+    assert resumed["cases"]["y"]["status"] == "pseudo_labeled"
+    assert resumed["persist_count"] == 4
     state.end_round({"phase": "tumor", "round": 0})
     assert state.round == 1 and state.cases == {} and not state.stage("trained")
+
+
+def _journal_lines(state):
+    return [json.loads(line) for line in state.journal.read_text().splitlines()]
+
+
+def test_journal_replays_cases_after_snapshot(tmp_path):
+    path = tmp_path / "state.json"
+    state = PipelineState.fresh(path, PipelineConfig())
+    state.mark_trained(["x", "y"])
+    snapshot = path.read_text()
+    state.set_case("x", {"status": FUSED, "digest": "d"})
+    assert path.read_text() == snapshot  # an append leaves the snapshot alone
+    assert _journal_lines(state) == [
+        {"n": 3, "case": "x", "entry": {"status": FUSED, "digest": "d"}}
+    ]
+    back = PipelineState.load(path)
+    assert back.data == state.data
+    assert back.data["persist_count"] == 3
+
+
+def test_journal_ignores_torn_last_line(tmp_path):
+    path = tmp_path / "state.json"
+    state = PipelineState.fresh(path, PipelineConfig())
+    state.mark_trained(["x", "y", "z"])
+    state.set_case("x", {"status": FUSED, "digest": "d"})
+    for torn in (b'{"n": 4, "case": "y", "ent', b'{"n": 4, "case": "y", "entry": {}}'):
+        good = state.journal.read_bytes()
+        state.journal.write_bytes(good + torn)  # undecodable, then unterminated
+        back = PipelineState.load(path)
+        assert back.data == state.data
+        assert state.journal.read_bytes() == good  # the torn tail is cut off
+    # appends after the cut start on their own line and replay too
+    back.set_case("y", {"status": "failed", "error": "e"})
+    again = PipelineState.load(path)
+    assert again.cases["y"] == {"status": "failed", "error": "e"}
+    assert again.data["persist_count"] == 4
+
+
+def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
+    path = tmp_path / "state.json"
+    state = PipelineState.fresh(path, PipelineConfig())
+    state.mark_trained(["x", "y"])
+    state.set_case("x", {"status": FUSED, "digest": "d"})
+    stale = state.journal.read_bytes()
+    state.mark_predicted()
+    assert state.journal.read_bytes() == b""  # the snapshot emptied it
+    # a kill between the snapshot's replace and the truncation leaves old lines
+    state.journal.write_bytes(stale + b'{"n": 4, "case": "y", "entry": {"status": "bogus"}}\n')
+    back = PipelineState.load(path)
+    assert back.data == state.data
+    assert back.cases["y"]["status"] == "pseudo_labeled"
+
+
+def test_journal_count_continues_across_load(tmp_path):
+    path = tmp_path / "state.json"
+    state = PipelineState.fresh(path, PipelineConfig())
+    state.mark_trained(["x", "y"])
+    state.set_case("x", {"status": FUSED, "digest": "d"})
+    back = PipelineState.load(path)
+    back.set_case("y", {"status": FUSED, "digest": "e"})
+    assert [line["n"] for line in _journal_lines(back)] == [3, 4]
+    back.mark_predicted()
+    assert back.data["persist_count"] == 5
+    assert json.loads(path.read_text())["persist_count"] == 5
+    assert PipelineState.load(path).data == back.data
+
+
+def test_crash_hook_fires_on_journal_append(tmp_path, monkeypatch):
+    class Killed(Exception):
+        pass
+
+    def fake_exit(code):
+        raise Killed(code)
+
+    path = tmp_path / "state.json"
+    state = PipelineState.fresh(path, PipelineConfig())
+    state.mark_trained(["x"])
+    monkeypatch.setenv(CRASH_ENV, "3")
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Killed):
+        state.set_case("x", {"status": FUSED, "digest": "d"})
+    # the line the hook counted is on disk before the exit
+    assert PipelineState.load(path).cases["x"]["status"] == FUSED
+
+
+def _save_prob(path, value):
+    save_nifti(Volume(np.full((2, 2, 2), value, dtype=np.float32), Spacing(1, 1, 1)), path)
+
+
+def test_prob_map_index_keeps_prefix_ids_apart(tmp_path):
+    for base, value in (("c1", 0.25), ("c10", 0.75), ("c1__tta000", 0.3), ("c10__tta000", 0.6)):
+        for c in (0, 14):
+            _save_prob(tmp_path / f"{base}_prob_{c}.nii.gz", value if c else 1 - value)
+    index = index_prob_maps(tmp_path)
+    assert sorted(index) == ["c1", "c10", "c10__tta000", "c1__tta000"]
+    assert index["c1"] == {0: tmp_path / "c1_prob_0.nii.gz", 14: tmp_path / "c1_prob_14.nii.gz"}
+    for base, value in (("c1", 0.25), ("c10", 0.75), ("c1__tta000", 0.3), ("c10__tta000", 0.6)):
+        pm = load_prob_map(index, tmp_path, base)
+        assert pm.classes == (0, 14)
+        assert np.allclose(pm.probs[1], value)
+
+
+def test_prob_map_index_prefers_gz_and_skips_strays(tmp_path):
+    _save_prob(tmp_path / "c1_prob_0.nii", 0.9)
+    _save_prob(tmp_path / "c1_prob_0.nii.gz", 0.2)
+    _save_prob(tmp_path / "c1_prob_3.nii", 0.8)
+    for stray in ("c1_prob_3.nii.gz.tmp4242", "c1_prob_5.nii.tmp7", "c1.nii.gz", "c1_prob_x.nii",
+                  "notes.txt", "c1_prob_7.nifti"):
+        (tmp_path / stray).write_bytes(b"junk")
+    index = index_prob_maps(tmp_path)
+    assert index == {"c1": {0: tmp_path / "c1_prob_0.nii.gz", 3: tmp_path / "c1_prob_3.nii"}}
+    pm = load_prob_map(index, tmp_path, "c1")
+    assert pm.classes == (0, 3)
+    assert np.allclose(pm.probs[0], 0.2)
+
+
+def test_prob_map_index_missing_case_and_dir(tmp_path):
+    assert index_prob_maps(tmp_path / "absent") == {}
+    with pytest.raises(VoxsegError) as err:
+        load_prob_map({}, tmp_path, "ghost")
+    assert str(err.value) == f"segmenter wrote no probability maps for 'ghost' in {tmp_path}"
+
+
+def test_missing_predict_dir_fails_cases_but_round_continues(fixture_dataset, tmp_path, caplog):
+    manifest, config = _load(fixture_dataset)
+    # exits 0 after deleting its output directory
+    contract = SegmenterContract(
+        train_cmd=f"{EXE} -c pass",
+        predict_cmd=f'{EXE} -c "import shutil, sys; shutil.rmtree(sys.argv[1])" {{output_dir}}',
+        output_mode="probabilities",
+    )
+    state = PipelineState.fresh(tmp_path / "state.json", config)
+    run_phase(state, manifest, contract, config, "tumor")
+    assert not (tmp_path / "rounds" / "tumor_r0" / "predict_raw").exists()
+    assert state.round == 1
+    assert state.history[-1]["failed"] == ["case_c", "case_d", "case_e", "case_f"]
+    assert caplog.text.count("segmenter wrote no probability maps") == 4
+
+
+def test_predict_raw_listed_once_per_round(fixture_dataset, tmp_path, monkeypatch):
+    manifest, _ = _load(fixture_dataset)
+    config = load_config(fixture_dataset["config"])
+    listed = []
+    real_listdir = os.listdir
+
+    def counting_listdir(path="."):
+        if os.path.basename(path) == "predict_raw":
+            listed.append(os.path.basename(os.path.dirname(path)))
+        return real_listdir(path)
+
+    monkeypatch.setattr(pipeline.os, "listdir", counting_listdir)
+    run_pipeline(manifest, config.segmenter, config, tmp_path / "work")
+    assert sorted(listed) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
 
 
 def test_run_phase_guards(fixture_dataset, tmp_path):
