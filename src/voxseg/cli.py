@@ -29,7 +29,7 @@ from .monitor import (
     sample_run,
     write_report,
 )
-from .nifti import load_nifti, save_nifti
+from .nifti import load_nifti, nifti_files, nifti_stem, save_nifti
 from .pipeline import index_prob_maps, load_prob_map, open_state, run_phase, run_pipeline
 from .postprocess import keep_largest
 from .preprocess import ResampleSpec, clip_normalize, resample_image, resample_labels
@@ -37,23 +37,6 @@ from .tta import FlipSpec, aggregate, argmax_labels, enumerate_flips
 from .volume import Spacing, check_labelmap
 
 log = logging.getLogger(__name__)
-
-
-def _case_stem(name: str) -> str | None:
-    if name.endswith(".nii.gz"):
-        return name[: -len(".nii.gz")]
-    if name.endswith(".nii"):
-        return name[: -len(".nii")]
-    return None
-
-
-def _nifti_files(directory: Path) -> dict[str, Path]:
-    out = {}
-    for path in sorted(directory.iterdir()):
-        stem = _case_stem(path.name)
-        if stem is not None:
-            out.setdefault(stem, path)
-    return out
 
 
 def _parse_classes(text: str) -> tuple[int, ...]:
@@ -135,7 +118,7 @@ def _fuse_policy(config: PipelineConfig, names: list[str]) -> FusionPolicy:
 def _io_pairs(inputs: list[Path], out: Path):
     """Yield (per-source input paths, output path) for files or directories."""
     if all(p.is_dir() for p in inputs):
-        listings = [_nifti_files(p) for p in inputs]
+        listings = [nifti_files(p) for p in inputs]
         stems = sorted(set.intersection(*(set(m) for m in listings)))
         if not stems:
             raise VoxsegError("input directories share no case files")
@@ -199,7 +182,7 @@ def cmd_evaluate(args) -> int:
     if pred.is_dir() != gt.is_dir():
         raise VoxsegError("--pred and --gt must both be files or both be directories")
     if pred.is_dir():
-        preds, gts = _nifti_files(pred), _nifti_files(gt)
+        preds, gts = nifti_files(pred), nifti_files(gt)
         missing = sorted(set(gts) - set(preds))
         if missing:
             raise VoxsegError(f"no prediction for case(s): {', '.join(missing)}")
@@ -207,7 +190,7 @@ def cmd_evaluate(args) -> int:
         if not pairs:
             raise VoxsegError(f"no NIfTI files in {gt}")
     else:
-        pairs = [(_case_stem(pred.name) or pred.name, pred, gt)]
+        pairs = [(nifti_stem(pred.name) or pred.name, pred, gt)]
     reports = []
     for case_id, ppath, gpath in pairs:
         reports.append(
@@ -238,7 +221,18 @@ def cmd_evaluate(args) -> int:
 # -------------------------------------------------------------- preprocess
 
 
-def _resample_target(args, config: PipelineConfig) -> Spacing | None:
+def _file_jobs(src: Path, out: Path) -> list[tuple[Path, Path]]:
+    """(input, output) pairs for one file, or for each NIfTI file in a directory."""
+    if not src.is_dir():
+        return [(src, out)]
+    files = nifti_files(src)
+    if not files:
+        raise VoxsegError(f"no NIfTI files in {src}")
+    out.mkdir(parents=True, exist_ok=True)
+    return [(p, out / f"{stem}.nii.gz") for stem, p in files.items()]
+
+
+def _resample_target(args) -> Spacing | None:
     if args.target is None:
         return None
     if args.target != "median":
@@ -253,16 +247,9 @@ def _resample_target(args, config: PipelineConfig) -> Spacing | None:
 def cmd_preprocess(args) -> int:
     _require(args, "image", "out")
     config = load_config(args.config, args.overrides)
-    target = _resample_target(args, config)
-    src, out = Path(args.image), Path(args.out)
-    if src.is_dir():
-        out.mkdir(parents=True, exist_ok=True)
-        jobs = [(p, out / f"{stem}.nii.gz") for stem, p in _nifti_files(src).items()]
-        if not jobs:
-            raise VoxsegError(f"no NIfTI files in {src}")
-    else:
-        jobs = [(src, out)]
-    for in_path, out_path in jobs:
+    target = _resample_target(args)
+    out = Path(args.out)
+    for in_path, out_path in _file_jobs(Path(args.image), out):
         vol = load_nifti(in_path)
         if args.labels:
             vol = check_labelmap(vol)
@@ -324,13 +311,8 @@ def cmd_postprocess(args) -> int:
     _require(args, "input", "out")
     config = load_config(args.config, args.overrides)
     classes = _parse_classes(args.classes) if args.classes else config.keep_largest_classes
-    src, out = Path(args.input), Path(args.out)
-    if src.is_dir():
-        out.mkdir(parents=True, exist_ok=True)
-        jobs = [(p, out / f"{stem}.nii.gz") for stem, p in _nifti_files(src).items()]
-    else:
-        jobs = [(src, out)]
-    for in_path, out_path in jobs:
+    out = Path(args.out)
+    for in_path, out_path in _file_jobs(Path(args.input), out):
         vol = check_labelmap(load_nifti(in_path))
         save_nifti(keep_largest(vol, classes, config.connectivity), out_path)
     print(f"wrote {out}")

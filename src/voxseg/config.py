@@ -12,10 +12,8 @@ from pathlib import Path
 from .errors import ConfigError
 from .fusion import FusionPolicy
 from .metrics import NsdParams
-from .monitor import DEFAULT_PERIOD_S
 from .preprocess import NormalizationParams
 from .postprocess import DEFAULT_CONNECTIVITY, DEFAULT_KEEP_LARGEST_CLASSES
-from .volume import Spacing
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class SegmenterContract:
 @dataclass(frozen=True)
 class PipelineConfig:
     normalization: NormalizationParams = field(default_factory=NormalizationParams)
-    resample_target: str | Spacing = "median"
     fusion: FusionPolicy = field(default_factory=FusionPolicy)
     nsd_tau: float = 1.0
     tta: bool = True
@@ -61,7 +58,6 @@ class PipelineConfig:
     eval_cases: tuple[str, ...] = ()
     external_label_dirs: dict[str, str] = field(default_factory=dict)
     segmenter: SegmenterContract | None = None
-    monitor_period_s: float = DEFAULT_PERIOD_S
 
     def __post_init__(self):
         if self.connectivity not in (6, 26):
@@ -83,8 +79,6 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        if isinstance(self.resample_target, Spacing):
-            d["resample_target"] = list(self.resample_target.as_tuple())
         d["fusion"]["source_priority"] = list(self.fusion.source_priority)
         d["keep_largest_classes"] = list(self.keep_largest_classes)
         d["phase_order"] = list(self.phase_order)
@@ -144,9 +138,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         if "segmenter" in raw:
             seg = raw.pop("segmenter")
             kwargs["segmenter"] = SegmenterContract(**seg) if seg else None
-        if "resample_target" in raw:
-            tgt = raw.pop("resample_target")
-            kwargs["resample_target"] = Spacing(*tgt) if isinstance(tgt, (list, tuple)) else tgt
         for key in ("keep_largest_classes", "phase_order", "eval_cases"):
             if key in raw:
                 kwargs[key] = tuple(raw.pop(key))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SegmenterError
-from .nifti import load_nifti, save_nifti
+from .nifti import load_nifti, nifti_files, save_nifti
 from .tta import argmax_labels
 from .volume import ProbMap, Volume, check_labelmap
 
@@ -35,31 +35,16 @@ TEMPERATURE = 0.5
 MODEL_FILE = "model.json"
 
 
-def _case_files(directory) -> list[tuple[str, Path]]:
-    directory = Path(directory)
-    out = {}
-    for path in sorted(directory.glob("*.nii*")):
-        name = path.name
-        if name.endswith(".nii.gz"):
-            case = name[: -len(".nii.gz")]
-        elif name.endswith(".nii"):
-            case = name[: -len(".nii")]
-        else:
-            continue
-        out.setdefault(case, path)
-    return sorted(out.items())
-
-
 def train(train_dir, label_dir, model_dir) -> dict:
     """Fit pooled per-class intensity statistics and write model.json."""
-    images = _case_files(train_dir)
+    images = nifti_files(train_dir)
     if not images:
         raise SegmenterError(f"no training images in {train_dir}")
-    labels = dict(_case_files(label_dir))
+    labels = nifti_files(label_dir)
     sums: dict[int, float] = {}
     sqs: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for case, img_path in images:
+    for case, img_path in images.items():
         if case not in labels:
             raise SegmenterError(f"no label for training case {case!r} in {label_dir}")
         img = load_nifti(img_path)
@@ -139,13 +124,13 @@ def predict(model_dir, input_dir, output_dir, mode: str = "probabilities") -> li
     if mode not in ("labels", "probabilities"):
         raise SegmenterError(f"bad predict mode {mode!r}")
     model = load_model(model_dir)
-    images = _case_files(input_dir)
+    images = nifti_files(input_dir)
     if not images:
         raise SegmenterError(f"no images to predict in {input_dir}")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     done = []
-    for case, img_path in images:
+    for case, img_path in images.items():
         image = load_nifti(img_path)
         prob = predict_volume(model, image)
         if mode == "labels":

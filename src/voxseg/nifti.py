@@ -4,12 +4,16 @@ Supported: 3D volumes, datatypes uint8/int16/uint16/float32, data at
 offset 352, optional gzip. ``scl_slope``/``scl_inter`` are honored on
 load (slope 0 means "no scaling") and written back as (1, 0).
 Orientation fields are carried as opaque bytes, never interpreted.
+
+File naming: ``<stem>.nii.gz`` or ``<stem>.nii``; when a directory holds
+both for one stem, ``.nii.gz`` wins.
 """
 from __future__ import annotations
 
 import gzip
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +37,36 @@ _CODE_BY_KIND = {np.dtype(k).str: c for c, d in _DTYPE_BY_CODE.items() for k in 
 _EXTRA_SLICE = slice(252, 344)
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+_SUFFIXES = (".nii.gz", ".nii")  # in order of preference
+
+
+def nifti_stem(name: str) -> str | None:
+    """``name`` without its NIfTI suffix, or None when it has none."""
+    for suffix in _SUFFIXES:
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return None
+
+
+def nifti_files(directory) -> dict[str, Path]:
+    """``{stem: path}`` for the NIfTI files in ``directory``, in stem order."""
+    directory = Path(directory)
+    found: dict[str, Path] = {}
+    for name in os.listdir(directory):
+        stem = nifti_stem(name)
+        if stem is not None and (stem not in found or name.endswith(_SUFFIXES[0])):
+            found[stem] = directory / name
+    return dict(sorted(found.items()))
+
+
+def find_nifti(directory, stem: str) -> Path | None:
+    """The NIfTI file named ``stem`` in ``directory``, or None."""
+    for suffix in _SUFFIXES:
+        path = Path(directory) / f"{stem}{suffix}"
+        if path.exists():
+            return path
+    return None
 
 
 def _read_bytes(path) -> bytes:

@@ -49,7 +49,7 @@ from .errors import PipelineError, SegmenterError, VoxsegError
 from .fusion import PartialLabel, majority_vote, merge_organ_tumor, merge_partial
 from .manifest import CaseRecord, Manifest
 from .metrics import aggregate_cohort, evaluate_case
-from .nifti import load_nifti, peek_nifti, save_nifti
+from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
 from .tta import FlipSpec, aggregate, apply_flip, argmax_labels, enumerate_flips
 from .volume import ORGAN_CLASSES, TUMOR_CLASS, ProbMap, Volume, check_labelmap, labelmap_like
@@ -72,7 +72,7 @@ STATE_VERSION = 1
 # (snapshot or journal append)
 CRASH_ENV = "VOXSEG_CRASH_AFTER"
 
-_PROB_TAIL = re.compile(r"_prob_(\d+)\.nii(\.gz)?$")
+_PROB_TAIL = re.compile(r"_prob_(\d+)$")
 
 
 def _sha256(path) -> str:
@@ -366,13 +366,13 @@ def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:
     fails on its own."""
     index: dict[str, dict[int, Path]] = {}
     try:
-        names = sorted(os.listdir(raw_dir))
+        files = nifti_files(raw_dir)
     except OSError:
         return index
-    for name in names:
-        m = _PROB_TAIL.search(name)
+    for stem, path in files.items():
+        m = _PROB_TAIL.search(stem)
         if m:
-            index.setdefault(name[: m.start()], {})[int(m.group(1))] = raw_dir / name
+            index.setdefault(stem[: m.start()], {})[int(m.group(1))] = path
     return index
 
 
@@ -394,11 +394,10 @@ def _predicted_labels(
 ) -> Volume:
     """Read the segmenter's output for one case and reduce it to labels."""
     if contract.output_mode == "labels":
-        for ext in (".nii.gz", ".nii"):
-            path = raw_dir / f"{rec.case_id}{ext}"
-            if path.exists():
-                return check_labelmap(load_nifti(path))
-        raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
+        path = find_nifti(raw_dir, rec.case_id)
+        if path is None:
+            raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
+        return check_labelmap(load_nifti(path))
     if use_tta:
         bases = [(spec, f"{rec.case_id}__tta{spec.tag}") for spec in enumerate_flips()]
     else:
@@ -409,8 +408,9 @@ def _predicted_labels(
 
 def _process_case(
     rec: CaseRecord, manifest: Manifest, config: PipelineConfig, contract: SegmenterContract,
-    phase: str, rd: Path, store: Path, prob_maps: dict, use_tta: bool,
-) -> dict:
+    phase: str, rd: Path, prob_maps: dict, use_tta: bool,
+) -> Volume:
+    """One student's fused pseudo label for ``phase``."""
     classes = PHASE_CLASSES[phase]
     labels = _predicted_labels(rec, rd / "predict_raw", prob_maps, contract, use_tta)
     keep_classes = [c for c in config.keep_largest_classes if c in classes]
@@ -422,14 +422,7 @@ def _process_case(
         gt = check_labelmap(load_nifti(manifest.label_file(rec)))
         partial = PartialLabel(_restrict(gt, annotated), frozenset(annotated))
         labels = merge_partial(partial, labels, config.fusion)
-    fused_path = rd / "fused" / f"{rec.case_id}.nii.gz"
-    save_nifti(labels, fused_path)
-    _atomic_copy(fused_path, store / f"{rec.case_id}.nii.gz")
-    return {
-        "status": FUSED,
-        "digest": _sha256(fused_path),
-        "foreground": int((labels.data > 0).sum()),
-    }
+    return labels
 
 
 def _files_match(digest: str | None, *paths: Path) -> bool:
@@ -438,18 +431,57 @@ def _files_match(digest: str | None, *paths: Path) -> bool:
     return all(p.exists() and _sha256(p) == digest for p in paths)
 
 
-def _foreach_case(records, fn, state: PipelineState, workers: int) -> None:
-    """Run fn per case; record each outcome in state as it completes."""
+def _run_cases(
+    state: PipelineState, records, build, out_dir: Path, workers: int, copy_dir: Path | None = None
+) -> dict:
+    """Build, save and record each case, skipping those whose recorded
+    digest still matches their files; returns the stage's case summary.
+
+    ``build(rec)`` returns the case's label map, saved as
+    ``out_dir/<case>.nii.gz`` and copied into ``copy_dir`` when given.
+    A case that raises is recorded as failed and the others go on.
+    """
+    def paths(rec: CaseRecord) -> list[Path]:
+        return [d / f"{rec.case_id}.nii.gz" for d in (out_dir, copy_dir) if d is not None]
+
+    def run_one(rec: CaseRecord):
+        try:
+            labels = build(rec)
+            path, *copies = paths(rec)
+            save_nifti(labels, path)
+            for dst in copies:
+                _atomic_copy(path, dst)
+            return rec.case_id, {
+                "status": FUSED,
+                "digest": _sha256(path),
+                "foreground": int((labels.data > 0).sum()),
+            }
+        except (VoxsegError, OSError) as exc:
+            log.warning("case %s failed: %s", rec.case_id, exc)
+            return rec.case_id, {"status": FAILED, "error": str(exc)}
+
+    todo = []
+    for rec in records:
+        entry = state.case_entry(rec.case_id) or {}
+        if entry.get("status") != FUSED or not _files_match(entry.get("digest"), *paths(rec)):
+            todo.append(rec)
     if workers <= 1:
-        for rec in records:
-            cid, entry = fn(rec)
-            state.set_case(cid, entry)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, rec) for rec in records]
-        for fut in as_completed(futures):
-            cid, entry = fut.result()
-            state.set_case(cid, entry)
+        # on the calling thread, so stack-based tracers such as
+        # perfbench/child.py see each case's calls nested in order
+        for rec in todo:
+            state.set_case(*run_one(rec))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for fut in as_completed([pool.submit(run_one, rec) for rec in todo]):
+                state.set_case(*fut.result())
+
+    entries = state.cases
+    fused = sorted(c for c, e in entries.items() if e.get("status") == FUSED)
+    return {
+        "fused": len(fused),
+        "failed": sorted(c for c, e in entries.items() if e.get("status") == FAILED),
+        "foreground_voxels": {c: entries[c].get("foreground", 0) for c in fused},
+    }
 
 
 def _zeros_like_image(manifest: Manifest, rec: CaseRecord) -> Volume:
@@ -457,27 +489,12 @@ def _zeros_like_image(manifest: Manifest, rec: CaseRecord) -> Volume:
     return Volume(np.zeros(dims, dtype=np.uint8), spacing)
 
 
-def _combined_pseudo(work: Path, manifest: Manifest, rec: CaseRecord, config: PipelineConfig) -> Volume:
-    """Latest organ+tumor pseudo labels merged into one map (no ground truth)."""
-    parts = {}
-    for phase in ("organ", "tumor"):
-        path = _store_dir(work, phase) / f"{rec.case_id}.nii.gz"
-        parts[phase] = check_labelmap(load_nifti(path)) if path.exists() else None
-    if parts["organ"] is None and parts["tumor"] is None:
-        return _zeros_like_image(manifest, rec)
-    for phase, vol in parts.items():
-        if vol is None:
-            other = parts["organ"] or parts["tumor"]
-            parts[phase] = labelmap_like(np.zeros(other.dims, dtype=np.uint8), other)
-    return merge_organ_tumor(parts["organ"], parts["tumor"], config.fusion.tumor_overrides_organ)
-
-
 def _evaluate_held_out(work: Path, manifest: Manifest, config: PipelineConfig) -> dict:
     reports = []
     for cid in config.eval_cases:
         rec = manifest.case(cid)
         gt = check_labelmap(load_nifti(manifest.label_file(rec)))
-        pred = _combined_pseudo(work, manifest, rec, config)
+        pred = _own_labels(work, manifest, config, rec)
         reports.append(evaluate_case(pred, gt, config.nsd_params(), case_id=cid))
     return aggregate_cohort(reports)
 
@@ -537,37 +554,17 @@ def run_phase(
 
     (rd / "fused").mkdir(exist_ok=True)
     prob_maps = index_prob_maps(rd / "predict_raw")
-    todo = []
-    for rec in students:
-        entry = state.case_entry(rec.case_id) or {}
-        if entry.get("status") == FUSED and _files_match(
-            entry.get("digest"), rd / "fused" / f"{rec.case_id}.nii.gz", store / f"{rec.case_id}.nii.gz"
-        ):
-            continue
-        todo.append(rec)
-
-    def fuse_one(rec: CaseRecord):
-        try:
-            return rec.case_id, _process_case(
-                rec, manifest, config, contract, phase, rd, store, prob_maps, use_tta
-            )
-        except (VoxsegError, OSError) as exc:
-            log.warning("case %s failed: %s", rec.case_id, exc)
-            return rec.case_id, {"status": FAILED, "error": str(exc)}
-
-    _foreach_case(todo, fuse_one, state, config.workers)
-
-    entries = state.cases
-    fused = sorted(c for c, e in entries.items() if e.get("status") == FUSED)
-    failed = sorted(c for c, e in entries.items() if e.get("status") == FAILED)
+    summary = _run_cases(
+        state, students,
+        lambda rec: _process_case(rec, manifest, config, contract, phase, rd, prob_maps, use_tta),
+        rd / "fused", config.workers, copy_dir=store,
+    )
     record = {
         "phase": phase,
         "round": rnd,
         "teachers": len(teachers),
         "students": len(students),
-        "fused": len(fused),
-        "failed": failed,
-        "foreground_voxels": {c: entries[c].get("foreground", 0) for c in fused},
+        **summary,
     }
     if config.eval_cases:
         evaluation = _evaluate_held_out(work, manifest, config)
@@ -595,20 +592,23 @@ def _phase_component(
     return _zeros_like_image(manifest, rec)
 
 
-def _merge_case(work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord) -> Volume:
+def _own_labels(work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord) -> Volume:
+    """A case's organ and tumor components merged into one map."""
     organ = _phase_component(work, manifest, config, rec, "organ")
     tumor = _phase_component(work, manifest, config, rec, "tumor")
-    merged = merge_organ_tumor(organ, tumor, config.fusion.tumor_overrides_organ)
+    return merge_organ_tumor(organ, tumor, config.fusion.tumor_overrides_organ)
+
+
+def _merge_case(work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord) -> Volume:
+    merged = _own_labels(work, manifest, config, rec)
     if config.external_label_dirs:
         sources = [("own", merged)]
         for name, directory in config.external_label_dirs.items():
-            for ext in (".nii.gz", ".nii"):
-                path = Path(directory) / f"{rec.case_id}{ext}"
-                if path.exists():
-                    sources.append((name, check_labelmap(load_nifti(path))))
-                    break
-            else:
+            path = find_nifti(directory, rec.case_id)
+            if path is None:
                 log.warning("external source %s has no label for %s", name, rec.case_id)
+            else:
+                sources.append((name, check_labelmap(load_nifti(path))))
         if len(sources) > 1:
             merged = majority_vote(sources, config.fusion)
     if rec.label_path and rec.case_id not in set(config.eval_cases):
@@ -624,40 +624,11 @@ def run_merge(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
     work = state.work_dir
     final_dir = work / "final"
     final_dir.mkdir(parents=True, exist_ok=True)
-    todo = []
-    for rec in manifest.cases:
-        entry = state.case_entry(rec.case_id) or {}
-        if entry.get("status") == FUSED and _files_match(
-            entry.get("digest"), final_dir / f"{rec.case_id}.nii.gz"
-        ):
-            continue
-        todo.append(rec)
-
-    def merge_one(rec: CaseRecord):
-        try:
-            merged = _merge_case(work, manifest, config, rec)
-            path = final_dir / f"{rec.case_id}.nii.gz"
-            save_nifti(merged, path)
-            return rec.case_id, {
-                "status": FUSED,
-                "digest": _sha256(path),
-                "foreground": int((merged.data > 0).sum()),
-            }
-        except (VoxsegError, OSError) as exc:
-            log.warning("merge failed for %s: %s", rec.case_id, exc)
-            return rec.case_id, {"status": FAILED, "error": str(exc)}
-
-    _foreach_case(todo, merge_one, state, config.workers)
-    entries = state.cases
-    fused = sorted(c for c, e in entries.items() if e.get("status") == FUSED)
-    record = {
-        "phase": MERGE,
-        "cases": len(manifest.cases),
-        "fused": len(fused),
-        "failed": sorted(c for c, e in entries.items() if e.get("status") == FAILED),
-        "foreground_voxels": {c: entries[c].get("foreground", 0) for c in fused},
-    }
-    state.finish(record)
+    summary = _run_cases(
+        state, manifest.cases, lambda rec: _merge_case(work, manifest, config, rec),
+        final_dir, config.workers,
+    )
+    state.finish({"phase": MERGE, "cases": len(manifest.cases), **summary})
     return state
 
 

@@ -303,6 +303,17 @@ def test_postprocess_file(tmp_path):
     assert load_nifti(out).data.ravel().tolist() == [1, 1, 0, 0, 0, 0, 0]
 
 
+def test_file_or_directory_commands_reject_empty_directory(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not a volume")
+    for cmd, flag in (("preprocess", "--image"), ("postprocess", "--input")):
+        out = tmp_path / cmd
+        assert main([cmd, flag, str(empty), "--out", str(out)]) == 1
+        assert f"no NIfTI files in {empty}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_mock_segmenter_cli(tmp_path):
     img_dir, lab_dir = tmp_path / "img", tmp_path / "lab"
     img_dir.mkdir()

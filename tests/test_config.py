@@ -11,12 +11,12 @@ from voxseg.config import (
     save_config,
 )
 from voxseg.errors import ConfigError
-from voxseg.volume import ORGAN_CLASSES, Spacing
+from voxseg.fusion import FusionPolicy
+from voxseg.volume import ORGAN_CLASSES
 
 
 def test_defaults():
     cfg = PipelineConfig()
-    assert cfg.resample_target == "median"
     assert cfg.nsd_tau == 1.0
     assert cfg.tta is True
     assert cfg.connectivity == 26
@@ -58,7 +58,6 @@ def test_contract_validation():
 
 def test_roundtrip_via_file(tmp_path):
     cfg = PipelineConfig(
-        resample_target=Spacing(1.0, 1.0, 2.5),
         nsd_tau=2.0,
         rounds_tumor=1,
         eval_cases=("case_f",),
@@ -71,13 +70,13 @@ def test_roundtrip_via_file(tmp_path):
     assert back == cfg
     # file is plain JSON with lists, not tuples
     raw = json.loads(path.read_text())
-    assert raw["resample_target"] == [1.0, 1.0, 2.5]
     assert raw["eval_cases"] == ["case_f"]
+    assert raw["keep_largest_classes"] == [1, 3]
 
 
 def test_parse_overrides():
-    tree = parse_overrides(["nsd_tau=2.5", "fusion.min_votes=2", "resample_target=median"])
-    assert tree == {"nsd_tau": 2.5, "fusion": {"min_votes": 2}, "resample_target": "median"}
+    tree = parse_overrides(["nsd_tau=2.5", "fusion.min_votes=2", "phase_order=organ"])
+    assert tree == {"nsd_tau": 2.5, "fusion": {"min_votes": 2}, "phase_order": "organ"}
     with pytest.raises(ConfigError, match="key=value"):
         parse_overrides(["nsd_tau"])
 
@@ -124,7 +123,9 @@ def test_bad_file(tmp_path):
 
 
 def test_to_dict_is_json_stable():
-    cfg = PipelineConfig(resample_target=Spacing(2, 2, 2))
+    cfg = PipelineConfig(
+        phase_order=("organ", "tumor"), fusion=FusionPolicy(source_priority=("own", "ext"))
+    )
     d = cfg.to_dict()
     again = json.loads(json.dumps(d, sort_keys=True))
     assert config_from_dict(again) == cfg

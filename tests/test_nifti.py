@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from voxseg.errors import NiftiError
-from voxseg.nifti import DATA_OFFSET, HEADER_SIZE, load_nifti, peek_nifti, save_nifti
+from voxseg.nifti import (
+    DATA_OFFSET,
+    HEADER_SIZE,
+    find_nifti,
+    load_nifti,
+    nifti_files,
+    nifti_stem,
+    peek_nifti,
+    save_nifti,
+)
 from voxseg.volume import SUPPORTED_DTYPES, Spacing, Volume
 
 from conftest import rand_spacing
@@ -210,3 +219,20 @@ def test_explicit_compress_flag(tmp_path):
     save_nifti(vol, path, compress=True)
     assert path.read_bytes()[:2] == b"\x1f\x8b"
     assert gzip.decompress(path.read_bytes())[:4] == struct.pack("<i", HEADER_SIZE)
+
+
+def test_file_naming_rule(tmp_path):
+    assert nifti_stem("a.b.nii.gz") == "a.b"
+    assert nifti_stem("a.nii") == "a"
+    assert nifti_stem("a.nii.gz.tmp123") is None
+    for name in ("b.nii", "b.nii.gz", "a-1.nii", "a.nii.gz", "c.nii.gz.tmp7", "notes.txt"):
+        (tmp_path / name).write_bytes(b"")
+    files = nifti_files(tmp_path)
+    # stem order, not listing order; .nii.gz wins over .nii for one stem
+    assert list(files) == ["a", "a-1", "b"]
+    assert files["b"] == tmp_path / "b.nii.gz"
+    assert files["a-1"] == tmp_path / "a-1.nii"
+    assert find_nifti(tmp_path, "b") == tmp_path / "b.nii.gz"
+    assert find_nifti(tmp_path, "a-1") == tmp_path / "a-1.nii"
+    assert find_nifti(tmp_path, "c") is None
+    assert find_nifti(tmp_path / "missing", "b") is None

@@ -491,6 +491,30 @@ def test_external_sources_respect_priority(fixture_dataset, tmp_path):
     assert np.array_equal(got_a.data, make_label((1, 3, 5, 14)).data)
 
 
+def test_merge_failure_is_recorded_and_others_finish(fixture_dataset, tmp_path):
+    manifest, _ = _load(fixture_dataset)
+    ext_dir = tmp_path / "ext"
+    ext_dir.mkdir()
+    save_nifti(Volume(np.zeros((2, 2, 2), dtype=np.uint8), Spacing(1, 1, 1)), ext_dir / "case_d.nii.gz")
+    config = _degenerate_config(
+        fixture_dataset,
+        f'external_label_dirs={{"ext": "{ext_dir}"}}',
+        'fusion.source_priority=["own","ext"]',
+    )
+    report = run_pipeline(manifest, None, config, tmp_path / "work")
+
+    entry = PipelineState.load(tmp_path / "work" / "state.json").case_entry("case_d")
+    assert entry["status"] == "failed"
+    assert "dim mismatch" in entry["error"]
+    merge = report["history"][-1]
+    assert merge["failed"] == ["case_d"]
+    assert merge["fused"] == 5
+    assert sorted(report["final_labels"]) == ["case_a", "case_b", "case_c", "case_e", "case_f"]
+    final = tmp_path / "work" / "final"
+    assert not (final / "case_d.nii.gz").exists()
+    assert np.array_equal(load_nifti(final / "case_a.nii.gz").data, make_label((1, 3, 5, 14)).data)
+
+
 def test_merge_digest_skip_and_redo(fixture_dataset, tmp_path):
     manifest, _ = _load(fixture_dataset)
     config = _degenerate_config(fixture_dataset)
@@ -516,6 +540,24 @@ def test_workers_two_reproduces_single_worker_run(completed_run, tmp_path):
     config = load_config(completed_run["dataset"]["config"], overrides=["workers=2"])
     report = run_pipeline(completed_run["manifest"], config.segmenter, config, tmp_path / "work")
     assert report["final_labels"] == completed_run["report"]["final_labels"]
+
+
+def test_organ_phase_first(fixture_dataset, tmp_path):
+    # held-out evaluation runs while the tumor phase has no pseudo labels yet
+    manifest, _ = _load(fixture_dataset)
+    config = load_config(fixture_dataset["config"], overrides=['phase_order=["organ","tumor"]'])
+    report = run_pipeline(manifest, config.segmenter, config, tmp_path / "work")
+    history = report["history"]
+    assert [(h["phase"], h.get("round")) for h in history] == [
+        ("organ", 0), ("organ", 1), ("tumor", 0), ("tumor", 1), (MERGE, None),
+    ]
+    assert [h["eval"]["mean_dsc"] for h in history[:4]] == [0.0, 0.75, 0.75, 1.0]
+    assert all(h["failed"] == [] for h in history)
+    want = make_label((1, 3, 5, 14)).data
+    assert sorted(report["final_labels"]) == [f"case_{s}" for s in "abcdef"]
+    for cid in report["final_labels"]:
+        got = load_nifti(tmp_path / "work" / "final" / f"{cid}.nii.gz")
+        assert np.array_equal(got.data, want), cid
 
 
 def test_labels_mode_contract(fixture_dataset, tmp_path):
