@@ -30,10 +30,9 @@ from .monitor import (
     write_report,
 )
 from .nifti import load_nifti, nifti_files, nifti_stem, save_nifti
-from .pipeline import index_prob_maps, load_prob_map, open_state, run_phase, run_pipeline
+from .pipeline import index_prob_maps, open_state, reduce_prob_maps, run_phase, run_pipeline
 from .postprocess import keep_largest
 from .preprocess import ResampleSpec, clip_normalize, resample_image, resample_labels
-from .tta import FlipSpec, aggregate, argmax_labels, enumerate_flips
 from .volume import Spacing, check_labelmap
 
 log = logging.getLogger(__name__)
@@ -293,16 +292,8 @@ def cmd_monitor(args) -> int:
 def cmd_tta_aggregate(args) -> int:
     _require(args, "input_dir", "case", "out")
     raw = Path(args.input_dir)
-    maps = index_prob_maps(raw)
-    if args.no_flips:
-        entries = [(FlipSpec(False, False, False), load_prob_map(maps, raw, args.case))]
-    else:
-        entries = [
-            (spec, load_prob_map(maps, raw, f"{args.case}__tta{spec.tag}"))
-            for spec in enumerate_flips()
-        ]
-    merged = aggregate(entries)
-    save_nifti(argmax_labels(merged), args.out)
+    labels = reduce_prob_maps(index_prob_maps(raw), raw, args.case, use_tta=not args.no_flips)
+    save_nifti(labels, args.out)
     print(f"wrote {args.out}")
     return 0
 

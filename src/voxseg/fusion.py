@@ -8,6 +8,7 @@ truth annotates.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,27 +81,29 @@ def majority_vote(sources: list[tuple[str, Volume]], policy: FusionPolicy) -> Vo
         check_labelmap(m)
     _check_dims(maps)
 
-    stack = np.stack([m.data for m in maps])  # (S, nx, ny, nz)
-    n_classes = int(stack.max()) + 1
-    counts = np.zeros((n_classes,) + maps[0].dims, dtype=np.int16)
-    for c in range(n_classes):
-        counts[c] = (stack == c).sum(axis=0)
-    best = counts.max(axis=0)
+    # agree[i]: how many sources vote like source i, i.e. its class's count;
+    # the plurality count is the largest of these
+    datas = [m.data for m in maps]
+    agree = []
+    for d in datas:
+        n = np.zeros_like(d, dtype=np.int16)
+        for e in datas:
+            n += d == e
+        agree.append(n)
+    best = functools.reduce(np.maximum, agree)
 
     # Tie-break by priority: walk sources from highest priority down and
     # keep the first whose vote attains the maximum count.
     rank = {sid: i for i, sid in enumerate(policy.source_priority)}
     order = sorted(range(len(sources)), key=lambda i: rank[sources[i][0]])
-    out = np.zeros(maps[0].dims, dtype=np.uint8)
-    decided = np.zeros(maps[0].dims, dtype=bool)
+    out = np.zeros_like(datas[0])
+    decided = np.zeros_like(datas[0], dtype=bool)
     for i in order:
-        vote = stack[i]
-        hits = ~decided & (np.take_along_axis(counts, vote[None].astype(np.int64), axis=0)[0] == best)
-        out[hits] = vote[hits]
+        hits = ~decided & (agree[i] == best)
+        np.copyto(out, datas[i], where=hits)
         decided |= hits
     if policy.min_votes is not None:
-        win_count = np.take_along_axis(counts, out[None].astype(np.int64), axis=0)[0]
-        out[(out != 0) & (win_count < policy.min_votes)] = 0
+        out[(out != 0) & (best < policy.min_votes)] = 0
     return labelmap_like(out, maps[0])
 
 
@@ -113,7 +116,7 @@ def merge_partial(gt: PartialLabel, pseudo: Volume, policy: FusionPolicy) -> Vol
     """
     check_labelmap(pseudo)
     _check_dims([gt.map, pseudo])
-    out = pseudo.data.copy()
+    out = pseudo.data.copy(order="K")
     if policy.gt_background_trust and gt.annotated_classes:
         suppress = np.isin(out, sorted(gt.annotated_classes)) & ~gt.foreground()
         out[suppress] = 0
@@ -135,7 +138,7 @@ def merge_organ_tumor(
     tumor_values = set(np.unique(tumor.data))
     if not tumor_values <= {0, TUMOR_CLASS}:
         raise VoxsegError(f"tumor map contains organ classes {sorted(tumor_values - {0, TUMOR_CLASS})}")
-    out = organ.data.copy()
+    out = organ.data.copy(order="K")
     tmask = tumor.data == TUMOR_CLASS
     if not tumor_overrides_organ:
         tmask &= organ.data == 0

@@ -4,6 +4,11 @@ Supported: 3D volumes, datatypes uint8/int16/uint16/float32, data at
 offset 352, optional gzip. ``scl_slope``/``scl_inter`` are honored on
 load (slope 0 means "no scaling") and written back as (1, 0).
 Orientation fields are carried as opaque bytes, never interpreted.
+Compressed files are written at gzip level 1: these are scratch and
+pipeline files, and level 9 takes ~10x longer for ~5% smaller files.
+
+Arrays keep the payload's x-fastest (Fortran) layout in memory, so neither
+load nor save transposes a volume.
 
 File naming: ``<stem>.nii.gz`` or ``<stem>.nii``; when a directory holds
 both for one stem, ``.nii.gz`` wins.
@@ -37,6 +42,7 @@ _CODE_BY_KIND = {np.dtype(k).str: c for c, d in _DTYPE_BY_CODE.items() for k in 
 _EXTRA_SLICE = slice(252, 344)
 
 _GZIP_MAGIC = b"\x1f\x8b"
+GZIP_LEVEL = 1
 
 _SUFFIXES = (".nii.gz", ".nii")  # in order of preference
 
@@ -71,10 +77,8 @@ def find_nifti(directory, stem: str) -> Path | None:
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    raw = head + rest
-    if head == _GZIP_MAGIC:
+        raw = fh.read()
+    if raw[:2] == _GZIP_MAGIC:
         return gzip.decompress(raw)
     return raw
 
@@ -134,13 +138,17 @@ def peek_nifti(path) -> tuple[tuple[int, int, int], Spacing]:
 
 
 def load_nifti(path) -> Volume:
-    """Load a NIfTI-1 file into a Volume, applying any intensity rescale."""
+    """Load a NIfTI-1 file into a Volume, applying any intensity rescale.
+
+    The data array is writable and x-fastest (Fortran order), like the
+    payload, so it is copied out of the file buffer without a transpose.
+    """
     raw = _read_bytes(path)
     hdr = _parse_header(raw, path)
     nx, ny, nz = hdr["dims"]
     dtype = hdr["dtype"]
     nbytes = nx * ny * nz * dtype.itemsize
-    payload = raw[DATA_OFFSET : DATA_OFFSET + nbytes]
+    payload = memoryview(raw)[DATA_OFFSET : DATA_OFFSET + nbytes]
     if len(payload) < nbytes:
         raise NiftiError(
             f"{path}: truncated payload ({len(payload)} bytes, need {nbytes})"
@@ -154,7 +162,7 @@ def load_nifti(path) -> Volume:
         data = (data.astype(np.float32) * np.float32(slope)) + np.float32(inter)
         rescale = (slope, inter)
     else:
-        data = data.copy()
+        data = data.copy(order="K")
 
     if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise NiftiError(f"{path}: volume contains NaN or Inf values")
@@ -184,21 +192,29 @@ def _build_header(vol: Volume) -> bytes:
 
 
 def save_nifti(vol: Volume, path, compress: bool | None = None) -> None:
-    """Write ``vol`` to ``path``; gzip when ``compress`` (default: by extension).
+    """Write ``vol`` to ``path``; gzip at level ``GZIP_LEVEL`` (1) when
+    ``compress`` (default: by extension).
 
-    Output bytes are deterministic: the gzip stream carries no mtime.
+    Output bytes are deterministic: the gzip stream carries no mtime, and
+    C- and Fortran-ordered copies of one array write the same bytes.  An
+    x-fastest array is written straight from its buffer.
     """
     if compress is None:
         compress = str(path).endswith(".gz")
-    blob = _build_header(vol) + b"\x00\x00\x00\x00" + vol.data.ravel(order="F").tobytes()
+    head = _build_header(vol) + b"\x00\x00\x00\x00"
+    payload = vol.data.ravel(order="F")  # a view when already x-fastest
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             if compress:
-                with gzip.GzipFile(filename="", mode="wb", fileobj=fh, mtime=0) as gz:
-                    gz.write(blob)
+                with gzip.GzipFile(
+                    filename="", mode="wb", fileobj=fh, compresslevel=GZIP_LEVEL, mtime=0
+                ) as gz:
+                    gz.write(head)
+                    gz.write(payload)
             else:
-                fh.write(blob)
+                fh.write(head)
+                fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -99,8 +99,10 @@ def _write_json(data: dict, path) -> None:
 
 def _restrict(vol: Volume, classes) -> Volume:
     """Zero every voxel whose class is not in ``classes``."""
-    keep = np.isin(vol.data, sorted(classes))
-    return labelmap_like(np.where(keep, vol.data, 0), vol)
+    keep = sorted(classes)
+    table = np.zeros(256, dtype=np.uint8)  # indexed by uint8 label value
+    table[keep] = keep
+    return labelmap_like(table[vol.data], vol)
 
 
 def _ext(path) -> str:
@@ -345,6 +347,14 @@ def _build_train_dirs(
     return count
 
 
+def _tta_bases(case_id: str, use_tta: bool) -> list[tuple[FlipSpec, str]]:
+    """``(flip, base)`` for each prediction of a case: ``<case>__tta<k>``
+    for the 8 flips under TTA, else the case id with the identity flip."""
+    if not use_tta:
+        return [(FlipSpec(), case_id)]
+    return [(spec, f"{case_id}__tta{spec.tag}") for spec in enumerate_flips()]
+
+
 def _write_predict_inputs(
     rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool
 ) -> None:
@@ -355,8 +365,8 @@ def _write_predict_inputs(
             shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
             continue
         image = load_nifti(src)
-        for spec in enumerate_flips():
-            save_nifti(apply_flip(image, spec), img_dir / f"{rec.case_id}__tta{spec.tag}.nii.gz")
+        for spec, base in _tta_bases(rec.case_id, True):
+            save_nifti(apply_flip(image, spec), img_dir / f"{base}.nii.gz")
 
 
 def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:
@@ -377,16 +387,37 @@ def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:
 
 
 def load_prob_map(index: dict[str, dict[int, Path]], raw_dir: Path, base: str) -> ProbMap:
+    """The probability map of ``base``, one channel per ``_prob_<c>`` file.
+
+    Each channel is read into its slot of one float32 buffer and stays
+    x-fastest like the file, so no channel is copied twice or transposed.
+    """
     paths = index.get(base)
     if not paths:
         raise VoxsegError(f"segmenter wrote no probability maps for {base!r} in {raw_dir}")
     classes = tuple(sorted(paths))
-    vols = [load_nifti(paths[c]) for c in classes]
-    dims = {v.dims for v in vols}
-    if len(dims) > 1:
-        raise VoxsegError(f"probability channels for {base!r} disagree on dims: {sorted(dims)}")
-    probs = np.stack([v.data.astype(np.float32) for v in vols])
-    return ProbMap(probs, classes, vols[0].spacing)
+    probs = None
+    for i, c in enumerate(classes):
+        vol = load_nifti(paths[c])
+        if probs is None:
+            dims, spacing = vol.dims, vol.spacing
+            # (C, nx, ny, nz) whose channels are each Fortran-ordered
+            probs = np.empty((len(classes),) + dims[::-1], dtype=np.float32).transpose(0, 3, 2, 1)
+        elif vol.dims != dims:
+            raise VoxsegError(
+                f"probability channels for {base!r} disagree on dims: {sorted({dims, vol.dims})}"
+            )
+        probs[i] = vol.data
+    return ProbMap(probs, classes, spacing)
+
+
+def reduce_prob_maps(index: dict, raw_dir: Path, case_id: str, use_tta: bool) -> Volume:
+    """Labels of one case from its (flipped) probability maps, loaded one
+    map at a time into the TTA accumulator."""
+    entries = (
+        (spec, load_prob_map(index, raw_dir, base)) for spec, base in _tta_bases(case_id, use_tta)
+    )
+    return argmax_labels(aggregate(entries))
 
 
 def _predicted_labels(
@@ -398,12 +429,7 @@ def _predicted_labels(
         if path is None:
             raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
         return check_labelmap(load_nifti(path))
-    if use_tta:
-        bases = [(spec, f"{rec.case_id}__tta{spec.tag}") for spec in enumerate_flips()]
-    else:
-        bases = [(FlipSpec(False, False, False), rec.case_id)]
-    entries = [(spec, load_prob_map(prob_maps, raw_dir, base)) for spec, base in bases]
-    return argmax_labels(aggregate(entries))
+    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, use_tta)
 
 
 def _process_case(
@@ -694,7 +720,11 @@ def run_pipeline(
     work,
     resume: bool = True,
 ) -> dict:
-    """Drive all configured phases to completion and write report.json."""
+    """Drive all configured phases to completion and write report.json.
+
+    Raises PipelineError, after writing the report, when any round or the
+    merge recorded a failed case.
+    """
     _validate_run(manifest, config, contract)
     work = Path(work)
     state = open_state(work, config, resume)
@@ -714,4 +744,11 @@ def run_pipeline(
     report = _build_report(state)
     _write_json(report, work / "report.json")
     log.info("pipeline done: %d final label(s) in %s", len(report["final_labels"]), work / "final")
+    failures = []
+    for h in report["history"]:
+        if h.get("failed"):
+            stage = h["phase"] if h.get("round") is None else f"{h['phase']} round {h['round']}"
+            failures.append(f"{stage}: {', '.join(h['failed'])}")
+    if failures:
+        raise PipelineError(f"failed case(s), see {work / 'report.json'}: " + "; ".join(failures))
     return report

@@ -54,7 +54,7 @@ def keep_largest(
     """Zero out, for each listed class, every voxel outside its largest
     connected component (size ties keep the lowest component id)."""
     check_labelmap(vol)
-    out = vol.data.copy()
+    out = vol.data.copy(order="K")
     for class_id in classes:
         mask = vol.data == class_id
         if not mask.any():

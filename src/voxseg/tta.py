@@ -2,6 +2,7 @@
 returned probability maps, and average."""
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,8 @@ def enumerate_flips() -> list[FlipSpec]:
 
 
 def flip_array(data: np.ndarray, spec: FlipSpec) -> np.ndarray:
-    if not spec.axes:
-        return data.copy()
-    return np.flip(data, axis=spec.axes).copy()
+    """Axis-reversed copy of ``data`` in the same memory layout."""
+    return np.flip(data, axis=spec.axes).copy(order="K")
 
 
 def apply_flip(vol: Volume, spec: FlipSpec) -> Volume:
@@ -47,37 +47,58 @@ def apply_flip(vol: Volume, spec: FlipSpec) -> Volume:
     return vol.with_data(flip_array(vol.data, spec))
 
 
+def _channel_axes(spec: FlipSpec) -> tuple[int, ...]:
+    """``spec``'s axes in a (C, nx, ny, nz) probability array."""
+    return tuple(a + 1 for a in spec.axes)
+
+
 def apply_flip_prob(prob: ProbMap, spec: FlipSpec) -> ProbMap:
-    flipped = np.stack([flip_array(prob.probs[c], spec) for c in range(prob.probs.shape[0])])
+    flipped = np.flip(prob.probs, axis=_channel_axes(spec)).copy(order="K")
     return ProbMap(flipped, prob.classes, prob.spacing)
 
 
-def aggregate(entries: list[tuple[FlipSpec, ProbMap]]) -> ProbMap:
+def aggregate(entries: Iterable[tuple[FlipSpec, ProbMap]]) -> ProbMap:
     """Average probability maps after undoing each entry's flip.
 
     Each entry must be the model output for the correspondingly flipped
-    input. Rows are renormalized to sum to 1.
+    input. Entries are consumed one at a time and added, as flipped views,
+    into one float64 accumulator, so a generator that loads each map when
+    asked keeps a single map in memory. Rows are renormalized to sum to 1.
     """
-    if not entries:
-        raise VoxsegError("aggregate needs at least one entry")
-    dims = {p.dims for _, p in entries}
-    classes = {p.classes for _, p in entries}
-    if len(dims) > 1 or len(classes) > 1:
-        raise VoxsegError(f"mismatched prob maps: dims {sorted(dims)}, classes {sorted(classes)}")
-    acc = np.zeros(entries[0][1].probs.shape, dtype=np.float64)
+    acc = None
+    count = 0
     for spec, prob in entries:
-        acc += apply_flip_prob(prob, spec).probs
-    acc /= len(entries)
+        if acc is None:
+            dims, classes, spacing = prob.dims, prob.classes, prob.spacing
+            acc = np.zeros_like(prob.probs, dtype=np.float64)
+        elif prob.dims != dims or prob.classes != classes:
+            raise VoxsegError(
+                f"mismatched prob maps: dims {dims} vs {prob.dims}, "
+                f"classes {classes} vs {prob.classes}"
+            )
+        acc += np.flip(prob.probs, axis=_channel_axes(spec))
+        count += 1
+        del prob  # let the next entry's map replace this one, not join it
+    if acc is None:
+        raise VoxsegError("aggregate needs at least one entry")
+    acc /= count
     sums = acc.sum(axis=0)
     if np.any(sums <= 0):
         raise VoxsegError("aggregated probabilities sum to zero at some voxel")
     acc /= sums
-    first = entries[0][1]
-    return ProbMap(acc.astype(np.float32), first.classes, first.spacing)
+    return ProbMap(acc.astype(np.float32), classes, spacing)
 
 
 def argmax_labels(prob: ProbMap) -> Volume:
-    """Label map taking, per voxel, the lowest class id at maximum probability."""
-    channel = np.argmax(prob.probs, axis=0)  # first (lowest) channel wins ties
-    ids = np.asarray(prob.classes, dtype=np.uint8)
-    return check_labelmap(Volume(np.ascontiguousarray(ids[channel]), prob.spacing))
+    """Label map taking, per voxel, the lowest class id at maximum probability.
+
+    Channels are compared one at a time, so the result keeps the layout
+    of each channel and no (nx, ny, nz, C) transpose is made.
+    """
+    best = prob.probs[0].copy(order="K")
+    labels = np.zeros_like(best, dtype=np.uint8)  # channel 0 is background 0
+    for channel, class_id in zip(prob.probs[1:], prob.classes[1:]):
+        wins = channel > best  # strict: the lower class keeps a tie
+        np.copyto(labels, class_id, where=wins)
+        np.maximum(best, channel, out=best)
+    return check_labelmap(Volume(labels, prob.spacing))

@@ -123,7 +123,7 @@ def check_labelmap(vol: Volume) -> Volume:
 
 def labelmap_like(values: np.ndarray, like: Volume) -> Volume:
     """Wrap an integer array as a label map sharing ``like``'s geometry."""
-    return check_labelmap(Volume(np.ascontiguousarray(values, dtype=np.uint8), like.spacing))
+    return check_labelmap(Volume(np.asarray(values, dtype=np.uint8), like.spacing))
 
 
 def voxel_count(vol: Volume, class_id: int) -> int:

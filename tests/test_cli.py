@@ -350,6 +350,24 @@ def test_run_cli_on_completed_work(completed_run, capsys):
     assert "held-out mean DSC per round: 0.0000, 0.2500, 0.2500, 1.0000" in out
 
 
+def test_run_cli_exits_1_when_a_case_failed(fixture_dataset, tmp_path, capsys):
+    ext = tmp_path / "ext"
+    ext.mkdir()
+    _save_lab(ext / "case_d.nii.gz", np.zeros((2, 2, 2)))  # wrong dims: case_d fails in merge
+    code = main([
+        "run",
+        "--manifest", str(fixture_dataset["manifest"]),
+        "--config", str(fixture_dataset["config"]),
+        "--work", str(tmp_path / "work"),
+        "--set", "rounds_tumor=0", "--set", "rounds_organ=0", "--set", "segmenter=null",
+        "--set", f'external_label_dirs={{"ext": "{ext}"}}',
+        "--set", 'fusion.source_priority=["own","ext"]',
+    ])
+    assert code == 1
+    assert "merge: case_d" in capsys.readouterr().err
+    assert (tmp_path / "work" / "report.json").exists()
+
+
 def test_run_cli_requires_manifest_and_work(fixture_dataset):
     assert main(["run", "--config", str(fixture_dataset["config"])]) == 2
     assert main(["run", "--manifest", str(fixture_dataset["manifest"]),

@@ -7,6 +7,7 @@ import pytest
 from voxseg.errors import NiftiError
 from voxseg.nifti import (
     DATA_OFFSET,
+    GZIP_LEVEL,
     HEADER_SIZE,
     find_nifti,
     load_nifti,
@@ -63,6 +64,43 @@ def test_gzip_output_is_deterministic(tmp_path):
     save_nifti(vol, a)
     save_nifti(vol, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gzip_level_is_fastest(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "v.nii.gz"
+    save_nifti(_random_volume(rng, np.uint8), path)
+    assert GZIP_LEVEL == 1
+    # gzip header XFL byte: 4 marks the fastest compression level
+    assert path.read_bytes()[8] == 4
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_load_keeps_x_fastest_layout(tmp_path, suffix):
+    data = np.arange(2 * 3 * 4, dtype=np.int16).reshape((2, 3, 4))
+    path = tmp_path / f"v{suffix}"
+    save_nifti(Volume(data, Spacing(1, 1, 1)), path)
+    back = load_nifti(path).data
+    assert back.flags.writeable and back.flags.f_contiguous and back.flags.owndata
+    assert np.array_equal(back, data)
+    raw = gzip.decompress(path.read_bytes()) if suffix == ".nii.gz" else path.read_bytes()
+    payload = np.frombuffer(raw[DATA_OFFSET:], dtype="<i2")
+    assert back.ravel(order="K").tolist() == payload.tolist()
+    back[0, 0, 0] = 99  # writable, and not a view of anything shared
+    assert load_nifti(path).data[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_save_bytes_independent_of_memory_order(tmp_path, suffix):
+    rng = np.random.default_rng(9)
+    vol = _random_volume(rng, np.float32)
+    written = []
+    strided = np.repeat(vol.data, 2, axis=1)[:, ::2]
+    for i, data in enumerate((np.ascontiguousarray(vol.data), np.asfortranarray(vol.data), strided)):
+        path = tmp_path / f"v{i}{suffix}"
+        save_nifti(vol.with_data(data), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_peek_matches_full_load(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,27 @@ def test_predict_raw_listed_once_per_round(fixture_dataset, tmp_path, monkeypatc
     assert sorted(listed) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
 
 
+def test_tta_reduction_holds_one_prob_map_at_a_time(fixture_dataset, tmp_path, monkeypatch):
+    manifest, config = _load(fixture_dataset)
+    loaded = []
+    real_load = pipeline.load_prob_map
+
+    def tracking_load(index, raw_dir, base):
+        # every map loaded before this one, including the previous flip of
+        # this case, must already be gone
+        assert all(ref() is None for _, ref in loaded), base
+        prob = real_load(index, raw_dir, base)
+        loaded.append((base, weakref.ref(prob)))
+        return prob
+
+    monkeypatch.setattr(pipeline, "load_prob_map", tracking_load)
+    state = PipelineState.fresh(tmp_path / "state.json", config)
+    run_phase(state, manifest, config.segmenter, config, "tumor")
+    assert state.history[-1]["failed"] == []
+    assert [b for b, _ in loaded[:8]] == [f"case_c__tta{k}" for k in range(8)]
+    assert len(loaded) == 8 * len(_student_records(manifest, config, "tumor"))
+
+
 def test_run_phase_guards(fixture_dataset, tmp_path):
     manifest, config = _load(fixture_dataset)
     state = PipelineState.fresh(tmp_path / "state.json", config)
@@ -501,8 +523,11 @@ def test_merge_failure_is_recorded_and_others_finish(fixture_dataset, tmp_path):
         f'external_label_dirs={{"ext": "{ext_dir}"}}',
         'fusion.source_priority=["own","ext"]',
     )
-    report = run_pipeline(manifest, None, config, tmp_path / "work")
+    with pytest.raises(PipelineError, match=r"merge: case_d$"):
+        run_pipeline(manifest, None, config, tmp_path / "work")
 
+    # the report is written before the error is raised
+    report = json.loads((tmp_path / "work" / "report.json").read_text())
     entry = PipelineState.load(tmp_path / "work" / "state.json").case_entry("case_d")
     assert entry["status"] == "failed"
     assert "dim mismatch" in entry["error"]

@@ -110,6 +110,69 @@ def test_aggregate_rejects_empty_and_mismatched():
         aggregate([(FlipSpec(), a), (FlipSpec(), c)])
 
 
+def _fortran_channels(probs: np.ndarray) -> np.ndarray:
+    """``probs`` copied into a (C, nx, ny, nz) buffer whose channels are x-fastest."""
+    out = np.empty(probs.shape[:1] + probs.shape[:0:-1], dtype=probs.dtype).transpose(0, 3, 2, 1)
+    out[...] = probs
+    return out
+
+
+def test_aggregate_streams_bit_identical_to_list_and_reference():
+    rng = np.random.default_rng(4)
+    classes = tuple(range(15))
+    entries = []
+    for spec in enumerate_flips():
+        raw = rng.random((len(classes), 6, 5, 4)).astype(np.float32)
+        raw[:, :2] = np.round(raw[:, :2] * 4) / 4  # exact ties across channels
+        entries.append((spec, ProbMap(raw, classes, Spacing(1, 1, 2.5))))
+    ref = np.zeros(entries[0][1].probs.shape, dtype=np.float64)
+    for spec, prob in entries:
+        ref += apply_flip_prob(prob, spec).probs
+    ref /= len(entries)
+    ref = (ref / ref.sum(axis=0)).astype(np.float32)
+
+    listed = aggregate(entries)
+    streamed = aggregate(
+        (spec, ProbMap(_fortran_channels(p.probs), p.classes, p.spacing)) for spec, p in entries
+    )
+    for out in (listed, streamed):
+        assert out.classes == classes
+        assert np.array_equal(out.probs.view(np.uint32), ref.view(np.uint32))
+    assert np.array_equal(argmax_labels(streamed).data, argmax_labels(listed).data)
+
+
+def test_aggregate_mismatch_mid_stream():
+    rng = np.random.default_rng(5)
+    good = [(spec, _rand_prob(rng, dims=(2, 3, 4))) for spec in enumerate_flips()[:3]]
+    for bad in (_rand_prob(rng, dims=(2, 3, 5)), _rand_prob(rng, dims=(2, 3, 4), classes=(0, 1))):
+        stream = iter(good[:2] + [(FlipSpec(), bad)] + good[2:])
+        with pytest.raises(VoxsegError, match="mismatched"):
+            aggregate(stream)
+    with pytest.raises(VoxsegError, match="at least one entry"):
+        aggregate(iter([]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_argmax_matches_numpy_argmax(order):
+    rng = np.random.default_rng(6)
+    classes = (0, 2, 5, 9, 14)
+    probs = np.round(rng.random((len(classes), 5, 4, 3)) * 3).astype(np.float32) / 3
+    if order == "F":
+        probs = _fortran_channels(probs)
+    out = argmax_labels(ProbMap(probs, classes, Spacing(1, 1, 1)))
+    want = np.asarray(classes, dtype=np.uint8)[np.argmax(probs, axis=0)]
+    assert np.array_equal(out.data, want)
+    assert out.data.flags.f_contiguous == (order == "F")
+
+
+def test_flip_array_keeps_layout():
+    data = np.asfortranarray(np.arange(24, dtype=np.int16).reshape((2, 3, 4)))
+    for spec in enumerate_flips():
+        out = flip_array(data, spec)
+        assert out.flags.f_contiguous
+        assert np.array_equal(out, np.flip(data, axis=spec.axes))
+
+
 def test_argmax_maps_channel_to_class_id():
     dims = (1, 1, 3)
     probs = np.zeros((3,) + dims, dtype=np.float32)
