@@ -1,9 +1,11 @@
 """Command-line interface.
 
 One binary, subcommand per workflow.  Exit codes: 0 success, 1 domain
-error (bad data, failed subprocess), 2 usage error.  Every subcommand
-accepts ``--config`` (JSON file) and repeatable ``--set key=value``
-overrides; dotted keys reach nested sections, e.g.
+error (bad data, failed subprocess), 2 usage error.  Each subcommand
+declares only the flags it reads.  The commands that read the pipeline
+config (``run``, ``phase``, ``fuse``, ``evaluate``, ``preprocess``,
+``postprocess``) accept ``--config`` (JSON file) and repeatable
+``--set key=value`` overrides; dotted keys reach nested sections, e.g.
 ``--set fusion.min_votes=2``.
 """
 from __future__ import annotations
@@ -30,7 +32,15 @@ from .monitor import (
     write_report,
 )
 from .nifti import load_nifti, nifti_files, nifti_stem, save_nifti
-from .pipeline import index_prob_maps, open_state, reduce_prob_maps, run_phase, run_pipeline
+from .pipeline import (
+    check_failed,
+    index_prob_maps,
+    open_state,
+    reduce_prob_maps,
+    run_phase,
+    run_pipeline,
+    validate_run,
+)
 from .postprocess import keep_largest
 from .preprocess import ResampleSpec, clip_normalize, resample_image, resample_labels
 from .volume import Spacing, check_labelmap
@@ -65,19 +75,10 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------- run / phase
 
 
-def _work_dir(args) -> Path:
-    if args.work:
-        return Path(args.work)
-    if args.state:
-        return Path(args.state).parent
-    raise _UsageError("pass --work (or --state) to locate the run directory")
-
-
 def cmd_run(args) -> int:
-    _require(args, "manifest")
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
-    work = _work_dir(args)
+    work = Path(args.work)
     report = run_pipeline(manifest, config.segmenter, config, work, resume=not args.fresh)
     print(f"final labels: {len(report['final_labels'])} case(s) in {work / 'final'}")
     evals = [h["eval"]["mean_dsc"] for h in report["history"] if h.get("eval")]
@@ -88,17 +89,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    _require(args, "manifest")
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
-    work = _work_dir(args)
-    state = open_state(work, config, resume=not args.fresh)
+    validate_run(manifest, config, config.segmenter)
+    state = open_state(Path(args.work), config, resume=not args.fresh)
     run_phase(state, manifest, config.segmenter, config, args.phase)
     last = state.history[-1]
     print(
         f"phase {last['phase']} round {last['round']}: fused {last['fused']}/{last['students']} case(s)"
         + (f", held-out mean DSC {last['eval']['mean_dsc']:.4f}" if last.get("eval") else "")
     )
+    check_failed([last], state.path)
     return 0
 
 
@@ -115,9 +116,13 @@ def _fuse_policy(config: PipelineConfig, names: list[str]) -> FusionPolicy:
 
 
 def _io_pairs(inputs: list[Path], out: Path):
-    """Yield (per-source input paths, output path) for files or directories."""
+    """Yield (per-source input paths, output path) for files, or for each
+    case stem that every input directory holds."""
     if all(p.is_dir() for p in inputs):
         listings = [nifti_files(p) for p in inputs]
+        for p, m in zip(inputs, listings):
+            if not m:
+                raise VoxsegError(f"no NIfTI files in {p}")
         stems = sorted(set.intersection(*(set(m) for m in listings)))
         if not stems:
             raise VoxsegError("input directories share no case files")
@@ -174,7 +179,6 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _require(args, "pred", "gt")
     config = load_config(args.config, args.overrides)
     pred, gt = Path(args.pred), Path(args.gt)
     pairs = []
@@ -220,17 +224,6 @@ def cmd_evaluate(args) -> int:
 # -------------------------------------------------------------- preprocess
 
 
-def _file_jobs(src: Path, out: Path) -> list[tuple[Path, Path]]:
-    """(input, output) pairs for one file, or for each NIfTI file in a directory."""
-    if not src.is_dir():
-        return [(src, out)]
-    files = nifti_files(src)
-    if not files:
-        raise VoxsegError(f"no NIfTI files in {src}")
-    out.mkdir(parents=True, exist_ok=True)
-    return [(p, out / f"{stem}.nii.gz") for stem, p in files.items()]
-
-
 def _resample_target(args) -> Spacing | None:
     if args.target is None:
         return None
@@ -244,11 +237,10 @@ def _resample_target(args) -> Spacing | None:
 
 
 def cmd_preprocess(args) -> int:
-    _require(args, "image", "out")
     config = load_config(args.config, args.overrides)
     target = _resample_target(args)
     out = Path(args.out)
-    for in_path, out_path in _file_jobs(Path(args.image), out):
+    for (in_path,), out_path in _io_pairs([Path(args.image)], out):
         vol = load_nifti(in_path)
         if args.labels:
             vol = check_labelmap(vol)
@@ -268,7 +260,6 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    _require(args, "cmd")
     returncode, trace = sample_run(args.cmd, probe=args.probe, period_s=args.period)
     runtime = trace.samples[-1][0]
     report = efficiency_report(trace, runtime)
@@ -290,7 +281,6 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_tta_aggregate(args) -> int:
-    _require(args, "input_dir", "case", "out")
     raw = Path(args.input_dir)
     labels = reduce_prob_maps(index_prob_maps(raw), raw, args.case, use_tta=not args.no_flips)
     save_nifti(labels, args.out)
@@ -299,11 +289,10 @@ def cmd_tta_aggregate(args) -> int:
 
 
 def cmd_postprocess(args) -> int:
-    _require(args, "input", "out")
     config = load_config(args.config, args.overrides)
     classes = _parse_classes(args.classes) if args.classes else config.keep_largest_classes
     out = Path(args.out)
-    for in_path, out_path in _file_jobs(Path(args.input), out):
+    for (in_path,), out_path in _io_pairs([Path(args.input)], out):
         vol = check_labelmap(load_nifti(in_path))
         save_nifti(keep_largest(vol, classes, config.connectivity), out_path)
     print(f"wrote {out}")
@@ -313,13 +302,13 @@ def cmd_postprocess(args) -> int:
 # ------------------------------------------------------------ mock segmenter
 
 
-def cmd_mock(args) -> int:
-    if args.action == "train":
-        _require(args, "train_dir", "label_dir", "model_dir")
-        mock_segmenter.train(args.train_dir, args.label_dir, args.model_dir)
-    else:
-        _require(args, "model_dir", "input_dir", "output_dir")
-        mock_segmenter.predict(args.model_dir, args.input_dir, args.output_dir, args.mode)
+def cmd_mock_train(args) -> int:
+    mock_segmenter.train(args.train_dir, args.label_dir, args.model_dir)
+    return 0
+
+
+def cmd_mock_predict(args) -> int:
+    mock_segmenter.predict(args.model_dir, args.input_dir, args.output_dir, args.mode)
     return 0
 
 
@@ -327,34 +316,35 @@ def cmd_mock(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument(
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
+    configured = argparse.ArgumentParser(add_help=False, parents=[verbose])
+    configured.add_argument("--config", help="JSON config file")
+    configured.add_argument(
         "--set", dest="overrides", action="append", metavar="KEY=VALUE",
         help="override a config value by dotted key (repeatable)",
     )
-    common.add_argument("--manifest", help="dataset manifest (JSON array of case records)")
-    common.add_argument("--state", help="pipeline state file (default: WORK/state.json)")
-    common.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
+    pipelined = argparse.ArgumentParser(add_help=False, parents=[configured])
+    pipelined.add_argument(
+        "--manifest", required=True, help="dataset manifest (JSON array of case records)"
+    )
+    pipelined.add_argument("--work", required=True, help="run directory holding state and outputs")
+    pipelined.add_argument("--fresh", action="store_true", help="ignore any existing state")
 
     parser = argparse.ArgumentParser(
         prog="voxseg",
         description="Iterative semi-supervised segmentation pipeline tools",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="run all phases + merge to completion")
-    p.add_argument("--work", help="run directory holding state and outputs")
-    p.add_argument("--fresh", action="store_true", help="ignore any existing state")
+    p = sub.add_parser("run", parents=[pipelined], help="run all phases + merge to completion")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("phase", parents=[common], help="run a single round of one phase")
+    p = sub.add_parser("phase", parents=[pipelined], help="run a single round of one phase")
     p.add_argument("--phase", required=True, choices=["tumor", "organ"])
-    p.add_argument("--work", help="run directory holding state and outputs")
-    p.add_argument("--fresh", action="store_true", help="ignore any existing state")
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("fuse", parents=[common], help="fuse label maps")
+    p = sub.add_parser("fuse", parents=[configured], help="fuse label maps")
     p.add_argument("--mode", required=True, choices=["vote", "organ-tumor", "merge-partial"])
     p.add_argument("--source", action="append", metavar="NAME=PATH", help="vote source (repeat)")
     p.add_argument("--organ", help="organ label map or directory")
@@ -365,23 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file or directory")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("evaluate", parents=[common], help="DSC/NSD of predictions vs ground truth")
-    p.add_argument("--pred", help="prediction file or directory")
-    p.add_argument("--gt", help="ground-truth file or directory")
+    p = sub.add_parser("evaluate", parents=[configured], help="DSC/NSD of predictions vs ground truth")
+    p.add_argument("--pred", required=True, help="prediction file or directory")
+    p.add_argument("--gt", required=True, help="ground-truth file or directory")
     p.add_argument("--out", help="write per-class CSV here")
     p.add_argument("--json", help="write full JSON summary here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("preprocess", parents=[common], help="clip/normalize and resample volumes")
-    p.add_argument("--image", help="input volume or directory")
-    p.add_argument("--out", help="output volume or directory")
+    p = sub.add_parser("preprocess", parents=[configured], help="clip/normalize and resample volumes")
+    p.add_argument("--image", required=True, help="input volume or directory")
+    p.add_argument("--out", required=True, help="output volume or directory")
     p.add_argument("--labels", action="store_true", help="treat input as labels (nearest neighbor)")
     p.add_argument("--target", help='target spacing "dx,dy,dz", or "median" (needs --manifest)')
+    p.add_argument("--manifest", help="dataset manifest whose median spacing --target median uses")
     p.add_argument("--no-normalize", action="store_true", help="skip intensity clip/normalize")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("monitor", parents=[common], help="run a command under a resource monitor")
-    p.add_argument("--cmd", help="command line to run")
+    p = sub.add_parser("monitor", parents=[verbose], help="run a command under a resource monitor")
+    p.add_argument("--cmd", required=True, help="command line to run")
     p.add_argument("--probe", default=SELF_RSS_PROBE,
                    help="memory probe command printing bytes; {pid} is substituted")
     p.add_argument("--period", type=float, default=DEFAULT_PERIOD_S, help="sample period seconds")
@@ -389,47 +380,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the efficiency report JSON here")
     p.set_defaults(func=cmd_monitor)
 
-    p = sub.add_parser("tta-aggregate", parents=[common],
+    p = sub.add_parser("tta-aggregate", parents=[verbose],
                        help="average flipped probability maps back into one label map")
-    p.add_argument("--input-dir", help="directory of <case>__tta<k>_prob_<c>.nii.gz maps")
-    p.add_argument("--case", help="case id")
+    p.add_argument("--input-dir", required=True,
+                   help="directory of <case>__tta<k>_prob_<c>.nii.gz maps")
+    p.add_argument("--case", required=True, help="case id")
     p.add_argument("--no-flips", action="store_true", help="inputs are unflipped <case>_prob_<c>")
-    p.add_argument("--out", help="output label map")
+    p.add_argument("--out", required=True, help="output label map")
     p.set_defaults(func=cmd_tta_aggregate)
 
-    p = sub.add_parser("postprocess", parents=[common], help="keep the largest component per class")
-    p.add_argument("--input", help="label map or directory")
+    p = sub.add_parser("postprocess", parents=[configured], help="keep the largest component per class")
+    p.add_argument("--input", required=True, help="label map or directory")
     p.add_argument("--classes", help="comma-separated classes (default: configured organ list)")
-    p.add_argument("--out", help="output file or directory")
+    p.add_argument("--out", required=True, help="output file or directory")
     p.set_defaults(func=cmd_postprocess)
 
-    p = sub.add_parser("mock-segmenter", parents=[common],
-                       help="deterministic intensity-band segmenter for tests")
-    p.add_argument("action", choices=["train", "predict"])
-    p.add_argument("--train-dir")
-    p.add_argument("--label-dir")
-    p.add_argument("--model-dir")
-    p.add_argument("--input-dir")
-    p.add_argument("--output-dir")
+    p = sub.add_parser("mock-segmenter", help="deterministic intensity-band segmenter for tests")
+    mock = p.add_subparsers(dest="action", metavar="ACTION", required=True)
+    p = mock.add_parser("train", parents=[verbose], help="fit the intensity bands")
+    p.add_argument("--train-dir", required=True)
+    p.add_argument("--label-dir", required=True)
+    p.add_argument("--model-dir", required=True)
+    p.set_defaults(func=cmd_mock_train)
+    p = mock.add_parser("predict", parents=[verbose], help="segment every image in a directory")
+    p.add_argument("--model-dir", required=True)
+    p.add_argument("--input-dir", required=True)
+    p.add_argument("--output-dir", required=True)
     p.add_argument("--mode", default="probabilities", choices=["labels", "probabilities"])
-    p.set_defaults(func=cmd_mock)
+    p.set_defaults(func=cmd_mock_predict)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (2)
         return int(exc.code or 0)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return 2
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

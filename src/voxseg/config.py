@@ -37,6 +37,8 @@ class SegmenterContract:
             (self.train_cmd, {"train_dir", "label_dir", "model_dir"}),
             (self.predict_cmd, {"model_dir", "input_dir", "output_dir"}),
         ):
+            if not isinstance(tmpl, str):
+                raise ConfigError(f"segmenter command template must be a string, got {tmpl!r}")
             try:
                 tmpl.format(**{k: "" for k in allowed})
             except (KeyError, IndexError) as exc:

@@ -202,7 +202,9 @@ def save_nifti(vol: Volume, path, compress: bool | None = None) -> None:
     if compress is None:
         compress = str(path).endswith(".gz")
     head = _build_header(vol) + b"\x00\x00\x00\x00"
-    payload = vol.data.ravel(order="F")  # a view when already x-fastest
+    # little-endian like the header; no copy for a native array
+    data = vol.data.astype(vol.data.dtype.newbyteorder("<"), copy=False)
+    payload = data.ravel(order="F")  # a view when already x-fastest
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:

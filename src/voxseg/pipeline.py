@@ -3,10 +3,10 @@
 Each phase (tumor, organ) repeats: train the segmenter on every case that
 annotates the phase's classes plus previously fused students, predict all
 remaining cases (8-flip TTA when the segmenter emits probabilities), keep
-the largest component per configured class, overlay each case's partial
-ground truth, and persist the fused pseudo labels.  A final merge stage
-combines the per-phase labels (plus any external pseudo-label sources)
-into complete 14-class maps.
+the largest component per configured class, and persist the fused pseudo
+labels.  A final merge stage combines the per-phase labels (plus any
+external pseudo-label sources) into complete 14-class maps and overlays
+each case's ground truth.
 
 State lives in ``<work>/state.json``, a snapshot rewritten atomically at
 every stage boundary, plus ``state.json.journal``, which gets one JSON line
@@ -62,8 +62,6 @@ PHASE_CLASSES = {
 }
 MERGE, DONE = "merge", "done"
 
-PENDING = "pending"
-PSEUDO_LABELED = "pseudo_labeled"
 FUSED = "fused"
 FAILED = "failed"
 
@@ -227,18 +225,14 @@ class PipelineState:
             log.warning("crash hook: exiting after persist #%s", crash_after)
             os._exit(137)
 
-    def mark_trained(self, student_ids) -> None:
+    def mark_trained(self) -> None:
         with self._lock:
             self.data["stage"]["trained"] = True
-            self.data["cases"] = {cid: {"status": PENDING} for cid in student_ids}
             self.persist()
 
     def mark_predicted(self) -> None:
         with self._lock:
             self.data["stage"]["predicted"] = True
-            for entry in self.data["cases"].values():
-                if entry["status"] == PENDING:
-                    entry["status"] = PSEUDO_LABELED
             self.persist()
 
     def set_case(self, case_id: str, entry: dict) -> None:
@@ -433,22 +427,17 @@ def _predicted_labels(
 
 
 def _process_case(
-    rec: CaseRecord, manifest: Manifest, config: PipelineConfig, contract: SegmenterContract,
+    rec: CaseRecord, config: PipelineConfig, contract: SegmenterContract,
     phase: str, rd: Path, prob_maps: dict, use_tta: bool,
 ) -> Volume:
     """One student's fused pseudo label for ``phase``."""
+    # no ground truth to overlay: a case annotated for these classes is a teacher unless held out
     classes = PHASE_CLASSES[phase]
     labels = _predicted_labels(rec, rd / "predict_raw", prob_maps, contract, use_tta)
     keep_classes = [c for c in config.keep_largest_classes if c in classes]
     if keep_classes:
         labels = keep_largest(labels, keep_classes, config.connectivity)
-    labels = _restrict(labels, classes)
-    annotated = rec.annotated_classes & classes
-    if annotated and rec.label_path and rec.case_id not in set(config.eval_cases):
-        gt = check_labelmap(load_nifti(manifest.label_file(rec)))
-        partial = PartialLabel(_restrict(gt, annotated), frozenset(annotated))
-        labels = merge_partial(partial, labels, config.fusion)
-    return labels
+    return _restrict(labels, classes)
 
 
 def _files_match(digest: str | None, *paths: Path) -> bool:
@@ -565,7 +554,7 @@ def run_phase(
             "train",
         )
         log.info("trained on %d case(s)", n)
-        state.mark_trained([r.case_id for r in students])
+        state.mark_trained()
 
     if not state.stage("predicted"):
         _write_predict_inputs(rd, manifest, students, use_tta)
@@ -582,7 +571,7 @@ def run_phase(
     prob_maps = index_prob_maps(rd / "predict_raw")
     summary = _run_cases(
         state, students,
-        lambda rec: _process_case(rec, manifest, config, contract, phase, rd, prob_maps, use_tta),
+        lambda rec: _process_case(rec, config, contract, phase, rd, prob_maps, use_tta),
         rd / "fused", config.workers, copy_dir=store,
     )
     record = {
@@ -663,7 +652,8 @@ def _next_phase(config: PipelineConfig, current: str) -> str:
     return order[order.index(current) + 1]
 
 
-def _validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
+def validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
+    """Reject a config that cannot run on ``manifest`` before any work starts."""
     ids = {r.case_id for r in manifest.cases}
     for cid in config.eval_cases:
         if cid not in ids:
@@ -679,6 +669,18 @@ def _validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
     total_rounds = sum(config.rounds(p) for p in config.phase_order)
     if total_rounds > 0 and contract is None:
         raise PipelineError("config.segmenter is required when any phase has rounds > 0")
+
+
+def check_failed(records: list[dict], where: Path) -> None:
+    """Raise PipelineError naming the failed cases of each round or merge
+    record in ``records``; ``where`` is the file that records them."""
+    failures = []
+    for h in records:
+        if h.get("failed"):
+            stage = h["phase"] if h.get("round") is None else f"{h['phase']} round {h['round']}"
+            failures.append(f"{stage}: {', '.join(h['failed'])}")
+    if failures:
+        raise PipelineError(f"failed case(s), see {where}: " + "; ".join(failures))
 
 
 def _build_report(state: PipelineState) -> dict:
@@ -725,7 +727,7 @@ def run_pipeline(
     Raises PipelineError, after writing the report, when any round or the
     merge recorded a failed case.
     """
-    _validate_run(manifest, config, contract)
+    validate_run(manifest, config, contract)
     work = Path(work)
     state = open_state(work, config, resume)
 
@@ -744,11 +746,5 @@ def run_pipeline(
     report = _build_report(state)
     _write_json(report, work / "report.json")
     log.info("pipeline done: %d final label(s) in %s", len(report["final_labels"]), work / "final")
-    failures = []
-    for h in report["history"]:
-        if h.get("failed"):
-            stage = h["phase"] if h.get("round") is None else f"{h['phase']} round {h['round']}"
-            failures.append(f"{stage}: {', '.join(h['failed'])}")
-    if failures:
-        raise PipelineError(f"failed case(s), see {work / 'report.json'}: " + "; ".join(failures))
+    check_failed(report["history"], work / "report.json")
     return report

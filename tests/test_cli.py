@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxseg.cli import main
+from voxseg.cli import build_parser, main
 from voxseg.config import load_config
 from voxseg.pipeline import PipelineState
 from voxseg.nifti import load_nifti, save_nifti
@@ -40,6 +41,48 @@ def test_help_everywhere(capsys):
         assert main([cmd, "--help"]) == 0, cmd
         out = capsys.readouterr().out
         assert "--config" in out or "usage" in out
+
+
+# Long options each subcommand accepts; a flag its handler ignores is not offered.
+CLI_SURFACE = {
+    "run": {"--config", "--set", "--manifest", "--work", "--fresh", "--verbose"},
+    "phase": {"--config", "--set", "--manifest", "--work", "--fresh", "--phase", "--verbose"},
+    "fuse": {
+        "--config", "--set", "--mode", "--source", "--organ", "--tumor", "--gt", "--pseudo",
+        "--classes", "--out", "--verbose",
+    },
+    "evaluate": {"--config", "--set", "--pred", "--gt", "--out", "--json", "--verbose"},
+    "preprocess": {
+        "--config", "--set", "--manifest", "--image", "--out", "--labels", "--target",
+        "--no-normalize", "--verbose",
+    },
+    "monitor": {"--cmd", "--probe", "--period", "--floor", "--out", "--verbose"},
+    "tta-aggregate": {"--input-dir", "--case", "--no-flips", "--out", "--verbose"},
+    "postprocess": {"--config", "--set", "--input", "--classes", "--out", "--verbose"},
+    "mock-segmenter train": {"--train-dir", "--label-dir", "--model-dir", "--verbose"},
+    "mock-segmenter predict": {"--model-dir", "--input-dir", "--output-dir", "--mode", "--verbose"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_cli_surface():
+    surface = {}
+    for name, parser in _leaf_parsers(build_parser()):
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(a.option_strings for a in actions), name  # no positionals
+        surface[name] = {o for a in actions for o in a.option_strings if o.startswith("--")}
+    assert surface == CLI_SURFACE
+    assert main(["run", "--manifest", "m", "--work", "w", "--state", "w/state.json"]) == 2
+    assert main(["monitor", "--cmd", "true", "--config", "c.json"]) == 2
+    assert main(["mock-segmenter"]) == 2
 
 
 def test_module_entrypoint():
@@ -386,6 +429,47 @@ def test_phase_cli_single_round(fixture_dataset, tmp_path, capsys):
     assert "phase tumor round 0: fused 4/4" in out
     state = json.loads((tmp_path / "work" / "state.json").read_text())
     assert state["round"] == 1
+
+
+def test_phase_cli_validates_config_before_training(fixture_dataset, tmp_path, capsys):
+    work = tmp_path / "work"
+    code = main([
+        "phase", "--phase", "tumor",
+        "--manifest", str(fixture_dataset["manifest"]),
+        "--config", str(fixture_dataset["config"]),
+        "--work", str(work),
+        "--set", 'eval_cases=["ghost"]',
+    ])
+    assert code == 1
+    assert "eval case 'ghost' is not in the manifest" in capsys.readouterr().err
+    assert not work.exists()
+
+
+def test_phase_cli_exits_1_when_a_case_failed(fixture_dataset, tmp_path, capsys):
+    code = main([
+        "phase", "--phase", "tumor",
+        "--manifest", str(fixture_dataset["manifest"]),
+        "--config", str(fixture_dataset["config"]),
+        "--work", str(tmp_path / "work"),
+        "--set", "segmenter.output_mode=labels",
+        "--set", 'segmenter.predict_cmd="true"',  # exits 0 and writes nothing
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "phase tumor round 0: fused 0/4" in captured.out
+    assert "tumor round 0: case_" in captured.err
+
+
+def test_non_string_command_template_is_config_error(fixture_dataset, tmp_path, capsys):
+    code = main([
+        "run",
+        "--manifest", str(fixture_dataset["manifest"]),
+        "--config", str(fixture_dataset["config"]),
+        "--work", str(tmp_path / "work"),
+        "--set", "segmenter.predict_cmd=true",  # a JSON bool, not the command "true"
+    ])
+    assert code == 1
+    assert "error: segmenter command template must be a string, got True" in capsys.readouterr().err
 
 
 def test_phase_cli_refuses_work_from_other_config(fixture_dataset, tmp_path, capsys):

@@ -45,6 +45,17 @@ def test_roundtrip_all_dtypes(tmp_path, dtype, suffix):
         assert back.spacing.close_to(vol.spacing, tol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [">i2", ">u2", ">f4"])
+def test_roundtrip_big_endian_array(tmp_path, dtype):
+    # the file is little-endian, so a big-endian array's bytes are swapped on write
+    data = np.arange(1, 9, dtype=dtype).reshape((2, 2, 2))
+    path = tmp_path / "be.nii.gz"
+    save_nifti(Volume(data, Spacing(1, 1, 1)), path)
+    back = load_nifti(path)
+    assert back.data.dtype == np.dtype(dtype).newbyteorder("<")
+    assert np.array_equal(back.data, data)
+
+
 def test_fortran_order_on_disk(tmp_path):
     data = np.arange(24, dtype=np.int16).reshape((2, 3, 4))
     vol = Volume(data, Spacing(1, 1, 1))

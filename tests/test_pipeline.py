@@ -89,14 +89,13 @@ def test_state_version_and_missing(tmp_path):
 
 def test_state_mutators_persist(tmp_path):
     state = PipelineState.fresh(tmp_path / "state.json", PipelineConfig())
-    state.mark_trained(["x", "y"])
+    state.mark_trained()
     state.mark_predicted()
     state.set_case("x", {"status": FUSED, "digest": "d"})
     ondisk = json.loads((tmp_path / "state.json").read_text())
     assert ondisk["stage"] == {"trained": True, "predicted": True}
     resumed = PipelineState.load(tmp_path / "state.json").data
-    assert resumed["cases"]["x"]["status"] == FUSED
-    assert resumed["cases"]["y"]["status"] == "pseudo_labeled"
+    assert resumed["cases"] == {"x": {"status": FUSED, "digest": "d"}}
     assert resumed["persist_count"] == 4
     state.end_round({"phase": "tumor", "round": 0})
     assert state.round == 1 and state.cases == {} and not state.stage("trained")
@@ -109,7 +108,7 @@ def _journal_lines(state):
 def test_journal_replays_cases_after_snapshot(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained(["x", "y"])
+    state.mark_trained()
     snapshot = path.read_text()
     state.set_case("x", {"status": FUSED, "digest": "d"})
     assert path.read_text() == snapshot  # an append leaves the snapshot alone
@@ -124,7 +123,7 @@ def test_journal_replays_cases_after_snapshot(tmp_path):
 def test_journal_ignores_torn_last_line(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained(["x", "y", "z"])
+    state.mark_trained()
     state.set_case("x", {"status": FUSED, "digest": "d"})
     for torn in (b'{"n": 4, "case": "y", "ent', b'{"n": 4, "case": "y", "entry": {}}'):
         good = state.journal.read_bytes()
@@ -142,7 +141,7 @@ def test_journal_ignores_torn_last_line(tmp_path):
 def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained(["x", "y"])
+    state.mark_trained()
     state.set_case("x", {"status": FUSED, "digest": "d"})
     stale = state.journal.read_bytes()
     state.mark_predicted()
@@ -151,13 +150,13 @@ def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
     state.journal.write_bytes(stale + b'{"n": 4, "case": "y", "entry": {"status": "bogus"}}\n')
     back = PipelineState.load(path)
     assert back.data == state.data
-    assert back.cases["y"]["status"] == "pseudo_labeled"
+    assert back.cases == {"x": {"status": FUSED, "digest": "d"}}
 
 
 def test_journal_count_continues_across_load(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained(["x", "y"])
+    state.mark_trained()
     state.set_case("x", {"status": FUSED, "digest": "d"})
     back = PipelineState.load(path)
     back.set_case("y", {"status": FUSED, "digest": "e"})
@@ -177,7 +176,7 @@ def test_crash_hook_fires_on_journal_append(tmp_path, monkeypatch):
 
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained(["x"])
+    state.mark_trained()
     monkeypatch.setenv(CRASH_ENV, "3")
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Killed):
