@@ -2,7 +2,9 @@
 
 One binary, subcommand per workflow.  Exit codes: 0 success, 1 domain
 error (bad data, failed subprocess), 2 usage error.  Each subcommand
-declares only the flags it reads.  The commands that read the pipeline
+declares only the flags it reads; ``fuse`` rejects the flags of the
+modes it is not running, and ``preprocess`` rejects ``--manifest``
+without ``--target median``.  The commands that read the pipeline
 config (``run``, ``phase``, ``fuse``, ``evaluate``, ``preprocess``,
 ``postprocess``) accept ``--config`` (JSON file) and repeatable
 ``--set key=value`` overrides; dotted keys reach nested sections, e.g.
@@ -60,12 +62,6 @@ def _parse_spacing(text: str) -> Spacing:
     if len(parts) != 3:
         raise VoxsegError(f"spacing must be dx,dy,dz; got {text!r}")
     return Spacing(*(float(p) for p in parts))
-
-
-def _require(args, *names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise _UsageError(f"missing required flag(s): {', '.join('--' + n for n in missing)}")
 
 
 class _UsageError(Exception):
@@ -138,11 +134,32 @@ def _io_pairs(inputs: list[Path], out: Path):
         yield list(inputs), out
 
 
+# the flags each ``fuse --mode`` reads: it needs all of them and rejects
+# the other modes' flags
+FUSE_FLAGS = {
+    "vote": ("source",),
+    "organ-tumor": ("organ", "tumor"),
+    "merge-partial": ("gt", "pseudo", "classes"),
+}
+
+
+def _check_fuse_flags(args) -> None:
+    given = {f for flags in FUSE_FLAGS.values() for f in flags if getattr(args, f) is not None}
+    own = FUSE_FLAGS[args.mode]
+    missing = [f for f in own if f not in given]
+    if missing:
+        raise _UsageError(f"missing required flag(s): {', '.join('--' + f for f in missing)}")
+    unread = sorted(given - set(own))
+    if unread:
+        raise _UsageError(f"--mode {args.mode} does not read {', '.join('--' + f for f in unread)}")
+
+
 def cmd_fuse(args) -> int:
+    _check_fuse_flags(args)
     config = load_config(args.config, args.overrides)
     out = Path(args.out)
     if args.mode == "vote":
-        if len(args.source or []) < 2:
+        if len(args.source) < 2:
             raise _UsageError("vote mode needs at least two --source name=path entries")
         names, paths = [], []
         for item in args.source:
@@ -156,7 +173,6 @@ def cmd_fuse(args) -> int:
             vols = [check_labelmap(load_nifti(p)) for p in srcs]
             save_nifti(majority_vote(list(zip(names, vols)), policy), dst)
     elif args.mode == "organ-tumor":
-        _require(args, "organ", "tumor")
         for (organ_p, tumor_p), dst in _io_pairs([Path(args.organ), Path(args.tumor)], out):
             merged = merge_organ_tumor(
                 check_labelmap(load_nifti(organ_p)),
@@ -165,7 +181,6 @@ def cmd_fuse(args) -> int:
             )
             save_nifti(merged, dst)
     else:  # merge-partial
-        _require(args, "gt", "pseudo", "classes")
         annotated = frozenset(_parse_classes(args.classes))
         for (gt_p, pseudo_p), dst in _io_pairs([Path(args.gt), Path(args.pseudo)], out):
             partial = PartialLabel(check_labelmap(load_nifti(gt_p)), annotated)
@@ -225,6 +240,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _resample_target(args) -> Spacing | None:
+    if args.manifest and args.target != "median":
+        raise _UsageError("--manifest is read only with --target median")
     if args.target is None:
         return None
     if args.target != "median":

@@ -2,11 +2,12 @@
 
 Each phase (tumor, organ) repeats: train the segmenter on every case that
 annotates the phase's classes plus previously fused students, predict all
-remaining cases (8-flip TTA when the segmenter emits probabilities), keep
-the largest component per configured class, and persist the fused pseudo
-labels.  A final merge stage combines the per-phase labels (plus any
-external pseudo-label sources) into complete 14-class maps and overlays
-each case's ground truth.
+remaining cases (8-flip TTA when the segmenter emits probabilities, whose
+maps are checked against the wire contract and reduced one class at a
+time), keep the largest component per configured class, and persist the
+fused pseudo labels.  A final merge stage combines the per-phase labels
+(plus any external pseudo-label sources) into complete 14-class maps and
+overlays each case's ground truth.
 
 State lives in ``<work>/state.json``, a snapshot rewritten atomically at
 every stage boundary, plus ``state.json.journal``, which gets one JSON line
@@ -52,7 +53,9 @@ from .metrics import aggregate_cohort, evaluate_case
 from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
 from .tta import FlipSpec, aggregate, apply_flip, argmax_labels, enumerate_flips
-from .volume import ORGAN_CLASSES, TUMOR_CLASS, ProbMap, Volume, check_labelmap, labelmap_like
+from .volume import (
+    ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, ProbMap, Volume, check_labelmap, labelmap_like,
+)
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +74,9 @@ STATE_VERSION = 1
 CRASH_ENV = "VOXSEG_CRASH_AFTER"
 
 _PROB_TAIL = re.compile(r"_prob_(\d+)$")
+# float32 rounding of renormalised TTA means can reorder two classes only
+# where their float64 means are within this relative distance
+_NEAR_TIE = 2.0 ** -20
 
 
 def _sha256(path) -> str:
@@ -380,42 +386,135 @@ def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:
     return index
 
 
-def load_prob_map(index: dict[str, dict[int, Path]], raw_dir: Path, base: str) -> ProbMap:
-    """The probability map of ``base``, one channel per ``_prob_<c>`` file.
-
-    Each channel is read into its slot of one float32 buffer and stays
-    x-fastest like the file, so no channel is copied twice or transposed.
-    """
-    paths = index.get(base)
-    if not paths:
-        raise VoxsegError(f"segmenter wrote no probability maps for {base!r} in {raw_dir}")
-    classes = tuple(sorted(paths))
-    probs = None
-    for i, c in enumerate(classes):
-        vol = load_nifti(paths[c])
-        if probs is None:
-            dims, spacing = vol.dims, vol.spacing
-            # (C, nx, ny, nz) whose channels are each Fortran-ordered
-            probs = np.empty((len(classes),) + dims[::-1], dtype=np.float32).transpose(0, 3, 2, 1)
-        elif vol.dims != dims:
+def _case_prob_paths(
+    index: dict, raw_dir: Path, case_id: str, use_tta: bool
+) -> tuple[list[tuple[FlipSpec, dict[int, Path]]], tuple[int, ...]]:
+    """Each flip's ``{class_id: path}`` for one case, and the class ids,
+    which every flip must share and which must be label classes (0..14)
+    including background 0."""
+    flips, classes = [], None
+    for spec, base in _tta_bases(case_id, use_tta):
+        paths = index.get(base)
+        if not paths:
+            raise VoxsegError(f"segmenter wrote no probability maps for {base!r} in {raw_dir}")
+        if classes is None:
+            classes, first = tuple(sorted(paths)), base
+        elif tuple(sorted(paths)) != classes:
             raise VoxsegError(
-                f"probability channels for {base!r} disagree on dims: {sorted({dims, vol.dims})}"
+                f"probability maps of {base!r} have classes {sorted(paths)}, "
+                f"but those of {first!r} have {list(classes)}"
             )
-        probs[i] = vol.data
-    return ProbMap(probs, classes, spacing)
+        flips.append((spec, paths))
+    if classes[0] != 0 or classes[-1] > TUMOR_CLASS:
+        raise VoxsegError(
+            f"probability maps for {case_id!r} have classes {list(classes)}, "
+            f"not background 0 and classes up to {TUMOR_CLASS}"
+        )
+    return flips, classes
 
 
-def reduce_prob_maps(index: dict, raw_dir: Path, case_id: str, use_tta: bool) -> Volume:
-    """Labels of one case from its (flipped) probability maps, loaded one
-    map at a time into the TTA accumulator."""
-    entries = (
-        (spec, load_prob_map(index, raw_dir, base)) for spec, base in _tta_bases(case_id, use_tta)
-    )
-    return argmax_labels(aggregate(entries))
+def _load_channel(path: Path, grid: tuple) -> np.ndarray:
+    """One probability channel, checked against the case's (dims, spacing)."""
+    vol = load_nifti(path)
+    dims, spacing = grid
+    if vol.dims != dims or not vol.spacing.close_to(spacing):
+        raise VoxsegError(
+            f"{path.name}: grid {vol.dims} at {vol.spacing.as_tuple()} mm does not match "
+            f"the image's {dims} at {spacing.as_tuple()} mm"
+        )
+    return vol.data
+
+
+def _class_mean(flips, class_id: int, grid: tuple) -> np.ndarray:
+    """Float64 mean of one class's unflipped maps, added in flip order;
+    each map is loaded, added and freed before the next is loaded."""
+    acc = np.zeros(grid[0], order="F")
+    for spec, paths in flips:
+        acc += _load_channel(paths[class_id], grid)[spec.reverse]
+    acc /= len(flips)
+    return acc
+
+
+def _recompute_near_ties(
+    flips, classes, grid: tuple, near: np.ndarray, labels: np.ndarray
+) -> None:
+    """Relabel the ``near`` voxels with ``argmax_labels(aggregate(...))``
+    on their gathered (C, n, 1, 1) maps, which reads every map again."""
+    n = int(np.count_nonzero(near))
+    log.info("recomputing %d near-tie voxel(s) with the flip-major reduction", n)
+
+    def gathered():
+        for spec, paths in flips:
+            probs = np.empty((len(classes), n, 1, 1), dtype=np.float32)
+            for i, c in enumerate(classes):
+                probs[i, :, 0, 0] = _load_channel(paths[c], grid)[spec.reverse][near]
+            yield FlipSpec(), ProbMap(probs, classes, grid[1])
+
+    labels[near] = argmax_labels(aggregate(gathered())).data[:, 0, 0]
+
+
+def reduce_prob_maps(
+    index: dict, raw_dir: Path, case_id: str, use_tta: bool, grid: tuple | None = None
+) -> Volume:
+    """Labels of one case from its (flipped) probability maps, one class
+    at a time, checking them against the wire contract.
+
+    Each class's maps are averaged over the flips into one float64 volume
+    (``_class_mean``), which is added to a per-voxel sum and folded into a
+    running best and label; the comparison is strict, so the lower class
+    keeps a tie.  The case thus holds a few volumes, not (C, nx, ny, nz)
+    arrays.  ``grid`` is the (dims, spacing) every map must have: the
+    student image's, or by default that of the first flip's background map.
+    Every flip must carry the same classes, including background 0; each
+    class mean must lie in [0, 1] and the per-voxel sum must be 1, both
+    within ``PROB_TOL``.
+
+    The labels equal ``argmax_labels(aggregate(...))``, which compares the
+    renormalised means in float32.  Float32 rounding can reorder two
+    classes only where their float64 means are within a relative
+    ``_NEAR_TIE``; such voxels are flagged where the final winner took
+    over and recomputed by ``_recompute_near_ties``.
+    """
+    flips, classes = _case_prob_paths(index, raw_dir, case_id, use_tta)
+    if grid is None:
+        grid = peek_nifti(flips[0][1][0])
+    dims = grid[0]
+    total = np.zeros(dims, order="F")
+    labels = np.zeros(dims, dtype=np.uint8, order="F")  # class 0 is background
+    near = np.zeros(dims, dtype=bool, order="F")
+    best = None
+    for c in classes:
+        mean = _class_mean(flips, c, grid)
+        lo, hi = mean.min(), mean.max()
+        if lo < -PROB_TOL or hi > 1 + PROB_TOL:
+            raise VoxsegError(
+                f"probability maps for {case_id!r}: class {c} averages {lo:.6g}..{hi:.6g}, "
+                "outside [0, 1]"
+            )
+        total += mean
+        if best is None:
+            best = mean
+            continue
+        wins = mean > best  # strict: the lower class keeps a tie
+        near &= ~wins
+        near |= wins & (best >= mean * (1 - _NEAR_TIE))
+        # c exceeds every earlier class id, and masked copies are slow
+        np.maximum(labels, wins * np.uint8(c), out=labels)
+        np.maximum(best, mean, out=best)
+        del mean, wins  # freed before the next class is read
+    lo, hi = total.min(), total.max()
+    if lo < 1 - PROB_TOL or hi > 1 + PROB_TOL:
+        raise VoxsegError(
+            f"probability maps for {case_id!r} sum to {lo:.6g}..{hi:.6g} per voxel, not 1"
+        )
+    if near.any():
+        _recompute_near_ties(flips, classes, grid, near, labels)
+    return check_labelmap(Volume(labels, grid[1]))
 
 
 def _predicted_labels(
-    rec: CaseRecord, raw_dir: Path, prob_maps: dict, contract: SegmenterContract, use_tta: bool
+    rec: CaseRecord, manifest: Manifest, raw_dir: Path, prob_maps: dict,
+    contract: SegmenterContract, use_tta: bool,
 ) -> Volume:
     """Read the segmenter's output for one case and reduce it to labels."""
     if contract.output_mode == "labels":
@@ -423,17 +522,18 @@ def _predicted_labels(
         if path is None:
             raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
         return check_labelmap(load_nifti(path))
-    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, use_tta)
+    grid = peek_nifti(manifest.image_file(rec))
+    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, use_tta, grid)
 
 
 def _process_case(
-    rec: CaseRecord, config: PipelineConfig, contract: SegmenterContract,
+    rec: CaseRecord, manifest: Manifest, config: PipelineConfig, contract: SegmenterContract,
     phase: str, rd: Path, prob_maps: dict, use_tta: bool,
 ) -> Volume:
     """One student's fused pseudo label for ``phase``."""
     # no ground truth to overlay: a case annotated for these classes is a teacher unless held out
     classes = PHASE_CLASSES[phase]
-    labels = _predicted_labels(rec, rd / "predict_raw", prob_maps, contract, use_tta)
+    labels = _predicted_labels(rec, manifest, rd / "predict_raw", prob_maps, contract, use_tta)
     keep_classes = [c for c in config.keep_largest_classes if c in classes]
     if keep_classes:
         labels = keep_largest(labels, keep_classes, config.connectivity)
@@ -454,7 +554,9 @@ def _run_cases(
 
     ``build(rec)`` returns the case's label map, saved as
     ``out_dir/<case>.nii.gz`` and copied into ``copy_dir`` when given.
-    A case that raises is recorded as failed and the others go on.
+    A case that raises is recorded as failed and the others go on; the
+    summary keeps each failed case's error text, since ``end_round``
+    empties ``cases``.
     """
     def paths(rec: CaseRecord) -> list[Path]:
         return [d / f"{rec.case_id}.nii.gz" for d in (out_dir, copy_dir) if d is not None]
@@ -492,9 +594,11 @@ def _run_cases(
 
     entries = state.cases
     fused = sorted(c for c, e in entries.items() if e.get("status") == FUSED)
+    failed = sorted(c for c, e in entries.items() if e.get("status") == FAILED)
     return {
         "fused": len(fused),
-        "failed": sorted(c for c, e in entries.items() if e.get("status") == FAILED),
+        "failed": failed,
+        "errors": {c: entries[c]["error"] for c in failed},
         "foreground_voxels": {c: entries[c].get("foreground", 0) for c in fused},
     }
 
@@ -571,7 +675,9 @@ def run_phase(
     prob_maps = index_prob_maps(rd / "predict_raw")
     summary = _run_cases(
         state, students,
-        lambda rec: _process_case(rec, config, contract, phase, rd, prob_maps, use_tta),
+        lambda rec: _process_case(
+            rec, manifest, config, contract, phase, rd, prob_maps, use_tta
+        ),
         rd / "fused", config.workers, copy_dir=store,
     )
     record = {

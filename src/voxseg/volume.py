@@ -36,6 +36,10 @@ NUM_CLASSES = 15
 
 SUPPORTED_DTYPES = (np.uint8, np.int16, np.uint16, np.float32)
 
+# how far a probability may leave [0, 1], and a voxel's sum over classes
+# may leave 1, before a probability map breaks the wire contract
+PROB_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class Spacing:
@@ -158,7 +162,7 @@ class ProbMap:
     def dims(self) -> tuple[int, int, int]:
         return self.probs.shape[1:]
 
-    def validate(self, tol: float = 1e-4) -> "ProbMap":
+    def validate(self, tol: float = PROB_TOL) -> "ProbMap":
         if self.probs.min() < -tol or self.probs.max() > 1 + tol:
             raise VoxsegError("probabilities outside [0, 1]")
         sums = self.probs.sum(axis=0)

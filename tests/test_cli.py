@@ -83,6 +83,14 @@ def test_cli_surface():
     assert main(["run", "--manifest", "m", "--work", "w", "--state", "w/state.json"]) == 2
     assert main(["monitor", "--cmd", "true", "--config", "c.json"]) == 2
     assert main(["mock-segmenter"]) == 2
+    # fuse rejects the flags of the modes it is not running
+    assert main(["fuse", "--mode", "vote", "--source", "A=a", "--source", "B=b",
+                 "--organ", "x", "--out", "o"]) == 2
+    assert main(["fuse", "--mode", "organ-tumor", "--organ", "o", "--tumor", "t",
+                 "--classes", "1", "--out", "o"]) == 2
+    assert main(["fuse", "--mode", "merge-partial", "--gt", "g", "--pseudo", "p",
+                 "--classes", "1", "--source", "A=a", "--out", "o"]) == 2
+    assert main(["preprocess", "--image", "i", "--out", "o", "--manifest", "m"]) == 2
 
 
 def test_module_entrypoint():
@@ -458,6 +466,12 @@ def test_phase_cli_exits_1_when_a_case_failed(fixture_dataset, tmp_path, capsys)
     captured = capsys.readouterr()
     assert "phase tumor round 0: fused 0/4" in captured.out
     assert "tumor round 0: case_" in captured.err
+    # the reasons outlive the round, whose end empties the case entries
+    state = json.loads((tmp_path / "work" / "state.json").read_text())
+    assert state["cases"] == {}
+    errors = state["history"][-1]["errors"]
+    assert sorted(errors) == ["case_c", "case_d", "case_e", "case_f"]
+    assert all("segmenter wrote no label map" in text for text in errors.values())
 
 
 def test_non_string_command_template_is_config_error(fixture_dataset, tmp_path, capsys):

@@ -22,7 +22,7 @@ from voxseg.pipeline import (
     _student_records,
     _teacher_records,
     index_prob_maps,
-    load_prob_map,
+    reduce_prob_maps,
     run_merge,
     run_phase,
     run_pipeline,
@@ -190,16 +190,17 @@ def _save_prob(path, value):
 
 
 def test_prob_map_index_keeps_prefix_ids_apart(tmp_path):
-    for base, value in (("c1", 0.25), ("c10", 0.75), ("c1__tta000", 0.3), ("c10__tta000", 0.6)):
+    # class 14 wins a base exactly when its value is above 0.5
+    values = {"c1": 0.25, "c10": 0.75, "c1__tta000": 0.3, "c10__tta000": 0.6}
+    for base, value in values.items():
         for c in (0, 14):
             _save_prob(tmp_path / f"{base}_prob_{c}.nii.gz", value if c else 1 - value)
     index = index_prob_maps(tmp_path)
     assert sorted(index) == ["c1", "c10", "c10__tta000", "c1__tta000"]
     assert index["c1"] == {0: tmp_path / "c1_prob_0.nii.gz", 14: tmp_path / "c1_prob_14.nii.gz"}
-    for base, value in (("c1", 0.25), ("c10", 0.75), ("c1__tta000", 0.3), ("c10__tta000", 0.6)):
-        pm = load_prob_map(index, tmp_path, base)
-        assert pm.classes == (0, 14)
-        assert np.allclose(pm.probs[1], value)
+    for base, value in values.items():
+        labels = reduce_prob_maps(index, tmp_path, base, use_tta=False)
+        assert (labels.data == (14 if value > 0.5 else 0)).all(), base
 
 
 def test_prob_map_index_prefers_gz_and_skips_strays(tmp_path):
@@ -211,16 +212,42 @@ def test_prob_map_index_prefers_gz_and_skips_strays(tmp_path):
         (tmp_path / stray).write_bytes(b"junk")
     index = index_prob_maps(tmp_path)
     assert index == {"c1": {0: tmp_path / "c1_prob_0.nii.gz", 3: tmp_path / "c1_prob_3.nii"}}
-    pm = load_prob_map(index, tmp_path, "c1")
-    assert pm.classes == (0, 3)
-    assert np.allclose(pm.probs[0], 0.2)
+    # 0.2 + 0.8 sums to 1; the .nii background (0.9) would break the contract
+    assert (reduce_prob_maps(index, tmp_path, "c1", use_tta=False).data == 3).all()
 
 
 def test_prob_map_index_missing_case_and_dir(tmp_path):
     assert index_prob_maps(tmp_path / "absent") == {}
     with pytest.raises(VoxsegError) as err:
-        load_prob_map({}, tmp_path, "ghost")
+        reduce_prob_maps({}, tmp_path, "ghost", use_tta=False)
     assert str(err.value) == f"segmenter wrote no probability maps for 'ghost' in {tmp_path}"
+
+
+def test_prob_map_contract_violation_fails_that_case_alone(fixture_dataset, tmp_path):
+    manifest, config = _load(fixture_dataset)
+    # the mock segmenter, then one flip of case_d halved in one class
+    script = tmp_path / "predict.py"
+    script.write_text(
+        "import sys\n"
+        "from voxseg import mock_segmenter, nifti\n"
+        "model, inp, out = sys.argv[1:]\n"
+        "mock_segmenter.predict(model, inp, out)\n"
+        "path = f'{out}/case_d__tta3_prob_14.nii.gz'\n"
+        "vol = nifti.load_nifti(path)\n"
+        "nifti.save_nifti(vol.with_data(vol.data * 0.5), path)\n"
+    )
+    contract = SegmenterContract(
+        train_cmd=config.segmenter.train_cmd,
+        predict_cmd=f"{EXE} {script} {{model_dir}} {{input_dir}} {{output_dir}}",
+        output_mode="probabilities",
+    )
+    state = PipelineState.fresh(tmp_path / "state.json", config)
+    run_phase(state, manifest, contract, config, "tumor")
+    record = state.history[-1]
+    assert record["failed"] == ["case_d"]
+    assert record["fused"] == 3
+    assert list(record["errors"]) == ["case_d"]
+    assert "probability maps for 'case_d' sum to" in record["errors"]["case_d"]
 
 
 def test_missing_predict_dir_fails_cases_but_round_continues(fixture_dataset, tmp_path, caplog):
@@ -255,25 +282,30 @@ def test_predict_raw_listed_once_per_round(fixture_dataset, tmp_path, monkeypatc
     assert sorted(listed) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
 
 
-def test_tta_reduction_holds_one_prob_map_at_a_time(fixture_dataset, tmp_path, monkeypatch):
+def test_tta_reduction_loads_one_channel_at_a_time_class_major(
+    fixture_dataset, tmp_path, monkeypatch
+):
     manifest, config = _load(fixture_dataset)
     loaded = []
-    real_load = pipeline.load_prob_map
+    real_load = pipeline.load_nifti
 
-    def tracking_load(index, raw_dir, base):
-        # every map loaded before this one, including the previous flip of
-        # this case, must already be gone
-        assert all(ref() is None for _, ref in loaded), base
-        prob = real_load(index, raw_dir, base)
-        loaded.append((base, weakref.ref(prob)))
-        return prob
+    def tracking_load(path):
+        vol = real_load(path)
+        if "_prob_" in path.name:
+            # every channel loaded before this one must already be freed
+            assert all(ref() is None for _, ref in loaded), path.name
+            loaded.append((path.name, weakref.ref(vol.data)))
+        return vol
 
-    monkeypatch.setattr(pipeline, "load_prob_map", tracking_load)
+    monkeypatch.setattr(pipeline, "load_nifti", tracking_load)
     state = PipelineState.fresh(tmp_path / "state.json", config)
     run_phase(state, manifest, config.segmenter, config, "tumor")
     assert state.history[-1]["failed"] == []
-    assert [b for b, _ in loaded[:8]] == [f"case_c__tta{k}" for k in range(8)]
-    assert len(loaded) == 8 * len(_student_records(manifest, config, "tumor"))
+    # all flips of class 0, then all flips of class 14
+    assert [name for name, _ in loaded[:16]] == [
+        f"case_c__tta{k}_prob_{c}.nii.gz" for c in (0, 14) for k in range(8)
+    ]
+    assert len(loaded) == 16 * len(_student_records(manifest, config, "tumor"))
 
 
 def test_run_phase_guards(fixture_dataset, tmp_path):

@@ -46,6 +46,9 @@ def test_flip_axes_property():
     assert FlipSpec(True, True, True).axes == (0, 1, 2)
     data = np.arange(8).reshape((2, 2, 2))
     assert np.array_equal(flip_array(data, FlipSpec(flip_x=True)), data[::-1])
+    cube = np.arange(24).reshape((2, 3, 4))
+    for spec in enumerate_flips():
+        assert np.array_equal(cube[spec.reverse], np.flip(cube, axis=spec.axes))
     # identity flip still returns a copy, not a view
     out = flip_array(data, FlipSpec())
     out[0, 0, 0] = 99
