@@ -55,7 +55,6 @@ class PipelineConfig:
     keep_largest_classes: tuple[int, ...] = DEFAULT_KEEP_LARGEST_CLASSES
     rounds_tumor: int = 2
     rounds_organ: int = 2
-    workers: int = 1
     phase_order: tuple[str, ...] = ("tumor", "organ")
     eval_cases: tuple[str, ...] = ()
     external_label_dirs: dict[str, str] = field(default_factory=dict)
@@ -66,8 +65,6 @@ class PipelineConfig:
             raise ConfigError(f"connectivity must be 6 or 26, got {self.connectivity}")
         if self.rounds_tumor < 0 or self.rounds_organ < 0:
             raise ConfigError("round counts must be nonnegative")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if sorted(self.phase_order) != ["organ", "tumor"]:
             raise ConfigError(f"phase_order must be a permutation of (tumor, organ), got {self.phase_order}")
         if not self.nsd_tau > 0:

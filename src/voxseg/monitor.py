@@ -110,9 +110,11 @@ def sample_run(
         last_t = t
 
     take_sample()
-    while proc.poll() is None:
-        time.sleep(period_s)
-        if proc.poll() is None:
+    while True:
+        try:
+            proc.wait(timeout=period_s)  # returns as soon as the command exits
+            break
+        except subprocess.TimeoutExpired:
             take_sample()
     # Final sample at exit time. A per-process probe can no longer answer
     # for a dead pid, so carry the last observed memory forward; a

@@ -7,7 +7,8 @@ maps are checked against the wire contract and reduced one class at a
 time), keep the largest component per configured class, and persist the
 fused pseudo labels.  A final merge stage combines the per-phase labels
 (plus any external pseudo-label sources) into complete 14-class maps and
-overlays each case's ground truth.
+overlays each case's ground truth.  Cases run one at a time, in manifest
+order, on the calling thread.
 
 State lives in ``<work>/state.json``, a snapshot rewritten atomically at
 every stage boundary, plus ``state.json.journal``, which gets one JSON line
@@ -22,10 +23,9 @@ cases.  Work directory layout:
       model/                        segmenter model_dir
       predict_images/               student inputs (flipped copies under TTA)
       predict_raw/                  raw segmenter outputs
-      fused/                        per-round fused labels
       logs/                         train.log, predict.log
       eval.json                     held-out metrics for the round
-    pseudo_tumor/ pseudo_organ/     latest pseudo label per student case
+    pseudo_tumor/ pseudo_organ/     latest fused pseudo label per student case
     final/                          merged labels, one per manifest case
     report.json
 """
@@ -39,8 +39,6 @@ import re
 import shlex
 import shutil
 import subprocess
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -87,12 +85,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _atomic_copy(src, dst) -> None:
-    tmp = f"{dst}.tmp{os.getpid()}"
-    shutil.copyfile(src, tmp)
-    os.replace(tmp, dst)
-
-
 def _write_json(data: dict, path) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w") as fh:
@@ -120,16 +112,15 @@ class PipelineState:
     atomically and empty the journal; ``set_case`` appends one line to the
     journal instead, so recording a case costs the same at any cohort
     size.  Every write bumps ``persist_count``; ``load`` replays the
-    journal lines numbered past the snapshot's count.  All mutators take
-    the internal lock and write before returning, so the files on disk
-    never lag behind completed work by more than the step in flight.
+    journal lines numbered past the snapshot's count.  Every mutator
+    writes before returning, so the files on disk never lag behind
+    completed work by more than the step in flight.
     """
 
     def __init__(self, path, data: dict):
         self.path = Path(path)
         self.journal = self.path.with_name(self.path.name + ".journal")
         self.data = data
-        self._lock = threading.RLock()
 
     @classmethod
     def fresh(cls, path, config: PipelineConfig) -> "PipelineState":
@@ -219,11 +210,10 @@ class PipelineState:
 
     def persist(self) -> None:
         """Write the snapshot and empty the journal it now covers."""
-        with self._lock:
-            self.data["persist_count"] += 1
-            _write_json(self.data, self.path)
-            self.journal.write_bytes(b"")
-            self._crash_hook()
+        self.data["persist_count"] += 1
+        _write_json(self.data, self.path)
+        self.journal.write_bytes(b"")
+        self._crash_hook()
 
     def _crash_hook(self) -> None:
         crash_after = os.environ.get(CRASH_ENV)
@@ -232,45 +222,39 @@ class PipelineState:
             os._exit(137)
 
     def mark_trained(self) -> None:
-        with self._lock:
-            self.data["stage"]["trained"] = True
-            self.persist()
+        self.data["stage"]["trained"] = True
+        self.persist()
 
     def mark_predicted(self) -> None:
-        with self._lock:
-            self.data["stage"]["predicted"] = True
-            self.persist()
+        self.data["stage"]["predicted"] = True
+        self.persist()
 
     def set_case(self, case_id: str, entry: dict) -> None:
-        with self._lock:
-            self.data["cases"][case_id] = entry
-            self.data["persist_count"] += 1
-            line = json.dumps({"n": self.data["persist_count"], "case": case_id, "entry": entry})
-            with open(self.journal, "a") as fh:
-                fh.write(line + "\n")
-            self._crash_hook()
+        self.data["cases"][case_id] = entry
+        self.data["persist_count"] += 1
+        line = json.dumps({"n": self.data["persist_count"], "case": case_id, "entry": entry})
+        with open(self.journal, "a") as fh:
+            fh.write(line + "\n")
+        self._crash_hook()
 
     def end_round(self, record: dict) -> None:
-        with self._lock:
-            self.data["history"].append(record)
-            self.data["round"] += 1
-            self.data["stage"] = {"trained": False, "predicted": False}
-            self.data["cases"] = {}
-            self.persist()
+        self.data["history"].append(record)
+        self.data["round"] += 1
+        self.data["stage"] = {"trained": False, "predicted": False}
+        self.data["cases"] = {}
+        self.persist()
 
     def advance_phase(self, next_phase: str) -> None:
-        with self._lock:
-            self.data["phase"] = next_phase
-            self.data["round"] = 0
-            self.data["stage"] = {"trained": False, "predicted": False}
-            self.data["cases"] = {}
-            self.persist()
+        self.data["phase"] = next_phase
+        self.data["round"] = 0
+        self.data["stage"] = {"trained": False, "predicted": False}
+        self.data["cases"] = {}
+        self.persist()
 
     def finish(self, record: dict) -> None:
-        with self._lock:
-            self.data["history"].append(record)
-            self.data["phase"] = DONE
-            self.persist()
+        self.data["history"].append(record)
+        self.data["phase"] = DONE
+        self.persist()
 
 
 def _round_dir(work: Path, phase: str, rnd: int) -> Path:
@@ -413,8 +397,8 @@ def _case_prob_paths(
     return flips, classes
 
 
-def _load_channel(path: Path, grid: tuple) -> np.ndarray:
-    """One probability channel, checked against the case's (dims, spacing)."""
+def _load_on_grid(path: Path, grid: tuple) -> Volume:
+    """One segmenter output map, checked against the case's (dims, spacing)."""
     vol = load_nifti(path)
     dims, spacing = grid
     if vol.dims != dims or not vol.spacing.close_to(spacing):
@@ -422,7 +406,7 @@ def _load_channel(path: Path, grid: tuple) -> np.ndarray:
             f"{path.name}: grid {vol.dims} at {vol.spacing.as_tuple()} mm does not match "
             f"the image's {dims} at {spacing.as_tuple()} mm"
         )
-    return vol.data
+    return vol
 
 
 def _class_mean(flips, class_id: int, grid: tuple) -> np.ndarray:
@@ -430,7 +414,7 @@ def _class_mean(flips, class_id: int, grid: tuple) -> np.ndarray:
     each map is loaded, added and freed before the next is loaded."""
     acc = np.zeros(grid[0], order="F")
     for spec, paths in flips:
-        acc += _load_channel(paths[class_id], grid)[spec.reverse]
+        acc += _load_on_grid(paths[class_id], grid).data[spec.reverse]
     acc /= len(flips)
     return acc
 
@@ -447,7 +431,7 @@ def _recompute_near_ties(
         for spec, paths in flips:
             probs = np.empty((len(classes), n, 1, 1), dtype=np.float32)
             for i, c in enumerate(classes):
-                probs[i, :, 0, 0] = _load_channel(paths[c], grid)[spec.reverse][near]
+                probs[i, :, 0, 0] = _load_on_grid(paths[c], grid).data[spec.reverse][near]
             yield FlipSpec(), ProbMap(probs, classes, grid[1])
 
     labels[near] = argmax_labels(aggregate(gathered())).data[:, 0, 0]
@@ -516,13 +500,14 @@ def _predicted_labels(
     rec: CaseRecord, manifest: Manifest, raw_dir: Path, prob_maps: dict,
     contract: SegmenterContract, use_tta: bool,
 ) -> Volume:
-    """Read the segmenter's output for one case and reduce it to labels."""
+    """Read the segmenter's output for one case, on the case image's grid,
+    and reduce it to labels."""
+    grid = peek_nifti(manifest.image_file(rec))
     if contract.output_mode == "labels":
         path = find_nifti(raw_dir, rec.case_id)
         if path is None:
             raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
-        return check_labelmap(load_nifti(path))
-    grid = peek_nifti(manifest.image_file(rec))
+        return check_labelmap(_load_on_grid(path, grid))
     return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, use_tta, grid)
 
 
@@ -540,57 +525,33 @@ def _process_case(
     return _restrict(labels, classes)
 
 
-def _files_match(digest: str | None, *paths: Path) -> bool:
-    if not digest:
-        return False
-    return all(p.exists() and _sha256(p) == digest for p in paths)
-
-
-def _run_cases(
-    state: PipelineState, records, build, out_dir: Path, workers: int, copy_dir: Path | None = None
-) -> dict:
-    """Build, save and record each case, skipping those whose recorded
-    digest still matches their files; returns the stage's case summary.
+def _run_cases(state: PipelineState, records, build, out_dir: Path) -> dict:
+    """Build, save and record each case in turn, skipping those whose
+    recorded digest still matches their file; returns the stage's case
+    summary.
 
     ``build(rec)`` returns the case's label map, saved as
-    ``out_dir/<case>.nii.gz`` and copied into ``copy_dir`` when given.
-    A case that raises is recorded as failed and the others go on; the
-    summary keeps each failed case's error text, since ``end_round``
-    empties ``cases``.
+    ``out_dir/<case>.nii.gz``.  A case that raises is recorded as failed
+    and the others go on; the summary keeps each failed case's error text,
+    since ``end_round`` empties ``cases``.
     """
-    def paths(rec: CaseRecord) -> list[Path]:
-        return [d / f"{rec.case_id}.nii.gz" for d in (out_dir, copy_dir) if d is not None]
-
-    def run_one(rec: CaseRecord):
+    for rec in records:
+        path = out_dir / f"{rec.case_id}.nii.gz"
+        entry = state.case_entry(rec.case_id) or {}
+        if entry.get("status") == FUSED and path.exists() and _sha256(path) == entry["digest"]:
+            continue
         try:
             labels = build(rec)
-            path, *copies = paths(rec)
             save_nifti(labels, path)
-            for dst in copies:
-                _atomic_copy(path, dst)
-            return rec.case_id, {
+            entry = {
                 "status": FUSED,
                 "digest": _sha256(path),
                 "foreground": int((labels.data > 0).sum()),
             }
         except (VoxsegError, OSError) as exc:
             log.warning("case %s failed: %s", rec.case_id, exc)
-            return rec.case_id, {"status": FAILED, "error": str(exc)}
-
-    todo = []
-    for rec in records:
-        entry = state.case_entry(rec.case_id) or {}
-        if entry.get("status") != FUSED or not _files_match(entry.get("digest"), *paths(rec)):
-            todo.append(rec)
-    if workers <= 1:
-        # on the calling thread, so stack-based tracers such as
-        # perfbench/child.py see each case's calls nested in order
-        for rec in todo:
-            state.set_case(*run_one(rec))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in as_completed([pool.submit(run_one, rec) for rec in todo]):
-                state.set_case(*fut.result())
+            entry = {"status": FAILED, "error": str(exc)}
+        state.set_case(rec.case_id, entry)
 
     entries = state.cases
     fused = sorted(c for c, e in entries.items() if e.get("status") == FUSED)
@@ -671,14 +632,13 @@ def run_phase(
         )
         state.mark_predicted()
 
-    (rd / "fused").mkdir(exist_ok=True)
     prob_maps = index_prob_maps(rd / "predict_raw")
     summary = _run_cases(
         state, students,
         lambda rec: _process_case(
             rec, manifest, config, contract, phase, rd, prob_maps, use_tta
         ),
-        rd / "fused", config.workers, copy_dir=store,
+        store,
     )
     record = {
         "phase": phase,
@@ -746,8 +706,7 @@ def run_merge(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
     final_dir = work / "final"
     final_dir.mkdir(parents=True, exist_ok=True)
     summary = _run_cases(
-        state, manifest.cases, lambda rec: _merge_case(work, manifest, config, rec),
-        final_dir, config.workers,
+        state, manifest.cases, lambda rec: _merge_case(work, manifest, config, rec), final_dir
     )
     state.finish({"phase": MERGE, "cases": len(manifest.cases), **summary})
     return state

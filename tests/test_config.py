@@ -15,6 +15,31 @@ from voxseg.fusion import FusionPolicy
 from voxseg.volume import ORGAN_CLASSES
 
 
+# Every settable dotted config key; a knob nothing sets is not offered.
+CONFIG_SURFACE = {
+    "normalization.clip_lo", "normalization.clip_hi", "normalization.mean", "normalization.std",
+    "fusion.gt_overrides", "fusion.gt_background_trust", "fusion.tumor_overrides_organ",
+    "fusion.min_votes", "fusion.source_priority",
+    "nsd_tau", "tta", "connectivity", "keep_largest_classes", "rounds_tumor", "rounds_organ",
+    "phase_order", "eval_cases", "external_label_dirs",
+    "segmenter.train_cmd", "segmenter.predict_cmd", "segmenter.output_mode",
+}
+
+
+def _dotted_keys(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        # a non-empty dict is a section; external_label_dirs (empty by default) is one value
+        if isinstance(value, dict) and value:
+            yield from _dotted_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_config_surface():
+    cfg = PipelineConfig(segmenter=SegmenterContract("t {model_dir}", "p {output_dir}"))
+    assert set(_dotted_keys(cfg.to_dict())) == CONFIG_SURFACE
+
+
 def test_defaults():
     cfg = PipelineConfig()
     assert cfg.nsd_tau == 1.0
@@ -33,8 +58,6 @@ def test_validation():
         PipelineConfig(connectivity=18)
     with pytest.raises(ConfigError, match="nonnegative"):
         PipelineConfig(rounds_tumor=-1)
-    with pytest.raises(ConfigError, match="workers"):
-        PipelineConfig(workers=0)
     with pytest.raises(ConfigError, match="phase_order"):
         PipelineConfig(phase_order=("tumor", "tumor"))
     with pytest.raises(ConfigError, match="nsd_tau"):

@@ -120,6 +120,13 @@ def test_sample_run_includes_final_sample():
     assert all(t1 > t0 for t0, t1 in zip(ts, ts[1:]))
 
 
+def test_sample_run_ends_when_the_command_does():
+    # a command far shorter than the period is not timed as a full period
+    code, trace = sample_run([sys.executable, "-c", "pass"], period_s=2.0)
+    assert code == 0
+    assert trace.samples[-1][0] < 1.0
+
+
 def test_sample_run_reports_nonzero_exit():
     code, trace = sample_run([sys.executable, "-c", "raise SystemExit(3)"], period_s=0.05)
     assert code == 3

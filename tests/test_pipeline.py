@@ -592,10 +592,35 @@ def test_merge_digest_skip_and_redo(fixture_dataset, tmp_path):
     assert (final / "case_b.nii.gz").stat().st_mtime_ns == b_mtime  # skipped
 
 
-def test_workers_two_reproduces_single_worker_run(completed_run, tmp_path):
-    config = load_config(completed_run["dataset"]["config"], overrides=["workers=2"])
-    report = run_pipeline(completed_run["manifest"], config.segmenter, config, tmp_path / "work")
-    assert report["final_labels"] == completed_run["report"]["final_labels"]
+def test_round_digest_skip_and_redo(fixture_dataset, tmp_path, monkeypatch):
+    class Killed(Exception):
+        pass
+
+    def fake_exit(code):
+        raise Killed(code)
+
+    manifest, config = _load(fixture_dataset)
+    state = PipelineState.fresh(tmp_path / "state.json", config)
+    # writes 1-3: fresh, trained, predicted; 4-7: the four students' journal lines
+    monkeypatch.setenv(CRASH_ENV, "7")
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Killed):
+        run_phase(state, manifest, config.segmenter, config, "tumor")
+    monkeypatch.delenv(CRASH_ENV)
+
+    store = tmp_path / "pseudo_tumor"
+    pristine = (store / "case_c.nii.gz").read_bytes()
+    others = {c: (store / f"{c}.nii.gz").stat().st_mtime_ns for c in ("case_d", "case_e", "case_f")}
+    save_nifti(make_label(()), store / "case_c.nii.gz")  # altered after its journal entry
+    state = PipelineState.load(tmp_path / "state.json")
+    assert sorted(state.cases) == ["case_c", "case_d", "case_e", "case_f"]
+    run_phase(state, manifest, config.segmenter, config, "tumor")
+
+    assert (store / "case_c.nii.gz").read_bytes() == pristine  # redone
+    for cid, mtime in others.items():
+        assert (store / f"{cid}.nii.gz").stat().st_mtime_ns == mtime, cid  # skipped
+    assert state.round == 1 and state.history[-1]["fused"] == 4
+    assert not list((tmp_path / "rounds").glob("*/fused"))
 
 
 def test_organ_phase_first(fixture_dataset, tmp_path):
@@ -637,3 +662,41 @@ def test_labels_mode_contract(fixture_dataset, tmp_path):
     want = make_label((1, 3, 5, 14)).data
     got = load_nifti(tmp_path / "work" / "final" / "case_f.nii.gz")
     assert np.array_equal(got.data, want)
+
+
+def test_labels_mode_map_off_the_image_grid_fails_that_case(fixture_dataset, tmp_path):
+    manifest, _ = _load(fixture_dataset)
+    script = tmp_path / "predict.py"
+    script.write_text(
+        "import sys\n"
+        "import numpy as np\n"
+        "from voxseg.nifti import nifti_files, save_nifti\n"
+        "from voxseg.volume import Spacing, Volume\n"
+        "inp, out = sys.argv[1:]\n"
+        "for stem in nifti_files(inp):\n"
+        "    vol = Volume(np.zeros((3, 3, 3), dtype=np.uint8), Spacing(1, 1, 1))\n"
+        "    save_nifti(vol, f'{out}/{stem}.nii.gz')\n"
+    )
+    config = load_config(
+        fixture_dataset["config"],
+        overrides=[
+            "segmenter.output_mode=labels",
+            f"segmenter.predict_cmd={EXE} {script} {{input_dir}} {{output_dir}}",
+            "rounds_tumor=1",
+            "rounds_organ=0",
+        ],
+    )
+    work = tmp_path / "work"
+    with pytest.raises(PipelineError, match=r"tumor round 0: case_c, case_d, case_e, case_f$"):
+        run_pipeline(manifest, config.segmenter, config, work)
+
+    # the report is written before the error is raised
+    report = json.loads((work / "report.json").read_text())
+    record = report["history"][0]
+    assert (record["phase"], record["round"], record["fused"]) == ("tumor", 0, 0)
+    assert record["failed"] == ["case_c", "case_d", "case_e", "case_f"]
+    for cid, error in record["errors"].items():
+        assert error.startswith(f"{cid}.nii.gz: grid (3, 3, 3)"), error
+        assert "does not match the image's" in error
+    assert record["eval"]["mean_dsc"] == 0.0
+    assert report["history"][-1]["failed"] == []
