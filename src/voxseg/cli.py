@@ -28,7 +28,6 @@ from .monitor import (
     DEFAULT_PERIOD_S,
     MEM_FLOOR_GB,
     SELF_RSS_PROBE,
-    auc_above_floor,
     efficiency_report,
     sample_run,
     write_report,
@@ -279,11 +278,11 @@ def cmd_preprocess(args) -> int:
 def cmd_monitor(args) -> int:
     returncode, trace = sample_run(args.cmd, probe=args.probe, period_s=args.period)
     runtime = trace.samples[-1][0]
-    report = efficiency_report(trace, runtime)
+    report = efficiency_report(trace, runtime, args.floor)
     print(
         f"runtime {report.runtime_s:.2f}s (over tolerance: {report.runtime_over_tolerance_s:.2f}s), "
         f"peak {report.peak_mem_gb:.3f} GB, AUC above {args.floor:g} GB: "
-        f"{auc_above_floor(trace, args.floor):.3f} GB*s"
+        f"{report.mem_auc_gb_s:.3f} GB*s"
     )
     if args.out:
         write_report(report, args.out)

@@ -1,10 +1,10 @@
 """Label fusion: voxelwise voting across pseudo-label sources and
 merging of partial ground truth with pseudo labels.
 
-Background (0) counts as a vote. Partial-label background is treated as
-unknown by default, so pseudo labels may fill it; set
-``gt_background_trust`` to suppress pseudo claims of classes the ground
-truth annotates.
+Background (0) counts as a vote. Ground-truth foreground always wins
+over pseudo labels. Partial-label background is treated as unknown by
+default, so pseudo labels may fill it; set ``gt_background_trust`` to
+suppress pseudo claims of classes the ground truth annotates.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ class FusionPolicy:
     """
 
     source_priority: tuple[str, ...] = ("own",)
-    gt_overrides: bool = True
     tumor_overrides_organ: bool = True
     gt_background_trust: bool = False
     min_votes: int | None = None
@@ -110,19 +109,17 @@ def majority_vote(sources: list[tuple[str, Volume]], policy: FusionPolicy) -> Vo
 def merge_partial(gt: PartialLabel, pseudo: Volume, policy: FusionPolicy) -> Volume:
     """Overlay partial ground truth onto a pseudo-label map.
 
-    GT foreground wins (when ``gt_overrides``). At GT-background voxels
-    the pseudo value is kept, unless it belongs to a GT-annotated class
-    and ``gt_background_trust`` is set.
+    GT foreground always wins. At GT-background voxels the pseudo value
+    is kept, unless it belongs to a GT-annotated class and
+    ``gt_background_trust`` is set.
     """
     check_labelmap(pseudo)
     _check_dims([gt.map, pseudo])
     out = pseudo.data.copy(order="K")
+    fg = gt.foreground()
     if policy.gt_background_trust and gt.annotated_classes:
-        suppress = np.isin(out, sorted(gt.annotated_classes)) & ~gt.foreground()
-        out[suppress] = 0
-    if policy.gt_overrides:
-        fg = gt.foreground()
-        out[fg] = gt.map.data[fg]
+        out[np.isin(out, sorted(gt.annotated_classes)) & ~fg] = 0
+    out[fg] = gt.map.data[fg]
     return labelmap_like(out, pseudo)
 
 

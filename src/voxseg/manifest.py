@@ -22,6 +22,12 @@ STATUSES = ("full", "tumor_only", "organ_only", "unlabeled")
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_\-]*$")
 # substrings reserved by the segmenter wire format
 _RESERVED = ("_prob_", "__tta")
+# the annotated classes each status implies; organ_only names its own
+_STATUS_CLASSES = {
+    "full": frozenset(ORGAN_CLASSES) | {TUMOR_CLASS},
+    "tumor_only": frozenset({TUMOR_CLASS}),
+    "unlabeled": frozenset(),
+}
 
 
 @dataclass(frozen=True)
@@ -39,13 +45,8 @@ class CaseRecord:
             raise ManifestError(
                 f"case {self.case_id}: unknown status {self.annotation_status!r}"
             )
-        expected = {
-            "full": frozenset(ORGAN_CLASSES) | {TUMOR_CLASS},
-            "tumor_only": frozenset({TUMOR_CLASS}),
-            "unlabeled": frozenset(),
-        }
-        if self.annotation_status in expected:
-            if self.annotated_classes != expected[self.annotation_status]:
+        if self.annotation_status in _STATUS_CLASSES:
+            if self.annotated_classes != _STATUS_CLASSES[self.annotation_status]:
                 raise ManifestError(
                     f"case {self.case_id}: status {self.annotation_status} inconsistent "
                     f"with annotated classes {sorted(self.annotated_classes)}"
@@ -63,13 +64,6 @@ class CaseRecord:
 
     def annotates(self, classes) -> bool:
         return bool(self.annotated_classes & set(classes))
-
-
-_DEFAULT_CLASSES = {
-    "full": sorted(set(ORGAN_CLASSES) | {TUMOR_CLASS}),
-    "tumor_only": [TUMOR_CLASS],
-    "unlabeled": [],
-}
 
 
 @dataclass(frozen=True)
@@ -115,18 +109,30 @@ def load_manifest(path, root=None) -> Manifest:
         raise ManifestError(f"{path}: manifest must be a JSON array of case records")
     cases = []
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ManifestError(f"{path}: case record must be a JSON object, got {entry!r}")
+        wrong = [k for k in ("case_id", "image_path", "label_path", "annotation_status")
+                 if entry.get(k) is not None and not isinstance(entry[k], str)]
+        if wrong:
+            raise ManifestError(f"case {entry.get('case_id')!r}: not a string: {', '.join(wrong)}")
         status = entry.get("annotation_status")
-        classes = entry.get("annotated_classes", _DEFAULT_CLASSES.get(status))
+        classes = entry.get("annotated_classes", _STATUS_CLASSES.get(status))
         if classes is None:
             raise ManifestError(
                 f"case {entry.get('case_id')!r}: annotated_classes required for status {status!r}"
             )
+        try:
+            classes = frozenset(int(c) for c in classes)
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(
+                f"case {entry.get('case_id')!r}: annotated_classes must be class ids, got {classes!r}"
+            ) from exc
         rec = CaseRecord(
             case_id=entry.get("case_id", ""),
             image_path=entry.get("image_path", ""),
             label_path=entry.get("label_path"),
             annotation_status=status,
-            annotated_classes=frozenset(int(c) for c in classes),
+            annotated_classes=classes,
         )
         if not (root / rec.image_path).is_file():
             raise ManifestError(f"case {rec.case_id}: missing image {root / rec.image_path}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
 import shlex
 import subprocess
 import time
@@ -62,7 +63,7 @@ class EfficiencyReport:
 def _read_self_rss(pid: int) -> int:
     with open(f"/proc/{pid}/statm") as fh:
         pages = int(fh.read().split()[1])
-    return pages * 4096
+    return pages * resource.getpagesize()
 
 
 def _run_probe(probe: str, pid: int) -> int | None:
@@ -149,11 +150,13 @@ def auc_above_floor(trace: ResourceTrace, floor_gb: float = MEM_FLOOR_GB) -> flo
     return total
 
 
-def efficiency_report(trace: ResourceTrace, runtime_s: float) -> EfficiencyReport:
+def efficiency_report(
+    trace: ResourceTrace, runtime_s: float, floor_gb: float = MEM_FLOOR_GB
+) -> EfficiencyReport:
     return EfficiencyReport(
         runtime_s=runtime_s,
         runtime_over_tolerance_s=max(0.0, runtime_s - RUNTIME_TOLERANCE_S),
-        mem_auc_gb_s=auc_above_floor(trace),
+        mem_auc_gb_s=auc_above_floor(trace, floor_gb),
         peak_mem_gb=trace.peak_bytes / BYTES_PER_GB,
     )
 

@@ -564,11 +564,6 @@ def _run_cases(state: PipelineState, records, build, out_dir: Path) -> dict:
     }
 
 
-def _zeros_like_image(manifest: Manifest, rec: CaseRecord) -> Volume:
-    dims, spacing = peek_nifti(manifest.image_file(rec))
-    return Volume(np.zeros(dims, dtype=np.uint8), spacing)
-
-
 def _evaluate_held_out(work: Path, manifest: Manifest, config: PipelineConfig) -> dict:
     reports = []
     for cid in config.eval_cases:
@@ -658,25 +653,21 @@ def run_phase(
     return state
 
 
-def _phase_component(
-    work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord, phase: str
-) -> Volume:
-    """A case's best label map restricted to one phase's classes."""
-    classes = PHASE_CLASSES[phase]
-    held_out = rec.case_id in set(config.eval_cases)
-    if rec.annotates(classes) and rec.label_path and not held_out:
-        gt = check_labelmap(load_nifti(manifest.label_file(rec)))
-        return _restrict(gt, rec.annotated_classes & classes)
+def _phase_component(work: Path, manifest: Manifest, rec: CaseRecord, phase: str) -> Volume:
+    """A case's fused pseudo label for one phase from ``pseudo_<phase>/``,
+    or zeros on its image's grid where there is none, as for a teacher."""
     path = _store_dir(work, phase) / f"{rec.case_id}.nii.gz"
     if path.exists():
         return check_labelmap(load_nifti(path))
-    return _zeros_like_image(manifest, rec)
+    dims, spacing = peek_nifti(manifest.image_file(rec))
+    return Volume(np.zeros(dims, dtype=np.uint8, order="F"), spacing)  # x-fastest, like loaded maps
 
 
 def _own_labels(work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord) -> Volume:
-    """A case's organ and tumor components merged into one map."""
-    organ = _phase_component(work, manifest, config, rec, "organ")
-    tumor = _phase_component(work, manifest, config, rec, "tumor")
+    """A case's organ and tumor pseudo labels merged into one map; its
+    ground truth is overlaid later, by ``_merge_case`` alone."""
+    organ = _phase_component(work, manifest, rec, "organ")
+    tumor = _phase_component(work, manifest, rec, "tumor")
     return merge_organ_tumor(organ, tumor, config.fusion.tumor_overrides_organ)
 
 

@@ -293,6 +293,18 @@ def test_monitor_success_and_report(tmp_path, capsys):
     assert report["runtime_over_tolerance_s"] == 0.0
 
 
+def test_monitor_report_uses_the_floor_flag(tmp_path, capsys):
+    # 3 GB for the whole run: above a 2 GB floor, below the default 4 GB one
+    out = tmp_path / "eff.json"
+    code = main(["monitor", "--cmd", f"{sys.executable} -c 'import time; time.sleep(0.3)'",
+                 "--probe", "echo 3221225472", "--period", "0.05", "--floor", "2", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    # 1 GB above the floor from the first sample to the end
+    assert 0.5 * report["runtime_s"] < report["mem_auc_gb_s"] <= report["runtime_s"]
+    assert f"AUC above 2 GB: {report['mem_auc_gb_s']:.3f} GB*s" in capsys.readouterr().out
+
+
 def test_monitor_propagates_child_failure(capsys):
     code = main(["monitor", "--cmd", f"{sys.executable} -c 'raise SystemExit(5)'",
                  "--probe", "echo 0", "--period", "0.05"])
@@ -417,6 +429,21 @@ def test_run_cli_exits_1_when_a_case_failed(fixture_dataset, tmp_path, capsys):
     assert code == 1
     assert "merge: case_d" in capsys.readouterr().err
     assert (tmp_path / "work" / "report.json").exists()
+
+
+def test_run_cli_rejects_malformed_manifest(fixture_dataset, tmp_path, capsys):
+    entry = json.loads(fixture_dataset["manifest"].read_text())[2]  # case_c, organ_only
+    manifest = tmp_path / "manifest.json"
+    for records, message in [
+        (["case_a"], "case record must be a JSON object"),
+        ([dict(entry, annotated_classes=["liver"])], "annotated_classes must be class ids"),
+    ]:
+        manifest.write_text(json.dumps(records))
+        code = main(["run", "--manifest", str(manifest), "--config", str(fixture_dataset["config"]),
+                     "--work", str(tmp_path / "work")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_run_cli_requires_manifest_and_work(fixture_dataset):

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from voxseg.volume import ORGAN_CLASSES
 # Every settable dotted config key; a knob nothing sets is not offered.
 CONFIG_SURFACE = {
     "normalization.clip_lo", "normalization.clip_hi", "normalization.mean", "normalization.std",
-    "fusion.gt_overrides", "fusion.gt_background_trust", "fusion.tumor_overrides_organ",
+    "fusion.gt_background_trust", "fusion.tumor_overrides_organ",
     "fusion.min_votes", "fusion.source_priority",
     "nsd_tau", "tta", "connectivity", "keep_largest_classes", "rounds_tumor", "rounds_organ",
     "phase_order", "eval_cases", "external_label_dirs",
@@ -38,6 +40,37 @@ def _dotted_keys(tree: dict, prefix: str = ""):
 def test_config_surface():
     cfg = PipelineConfig(segmenter=SegmenterContract("t {model_dir}", "p {output_dir}"))
     assert set(_dotted_keys(cfg.to_dict())) == CONFIG_SURFACE
+
+
+def _readme_config_keys():
+    """The keys named in the first column of README's configuration
+    table; ``a.{b,c}`` is ``a.b`` and ``a.c``, and ``x`` / ``y`` names both."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            if "{" in name:
+                head, leaves = name.rstrip("}").split("{")
+                keys.update(head + leaf for leaf in leaves.split(","))
+            else:
+                keys.add(name)
+    return keys
+
+
+def test_readme_config_table_lists_every_key():
+    # a row naming a section (``segmenter``) covers the keys under it
+    documented = _readme_config_keys()
+    covered = {k if k in documented else k.split(".")[0] for k in CONFIG_SURFACE}
+    assert documented == covered
+
+
+def test_gt_overrides_is_not_a_key():
+    # ground-truth foreground always wins at merge; the switch is gone
+    with pytest.raises(ConfigError, match="gt_overrides"):
+        config_from_dict({"fusion": {"gt_overrides": True}})
 
 
 def test_defaults():

@@ -155,6 +155,19 @@ def test_not_an_array(tmp_path):
         load_manifest(tmp_path / "absent.json")
 
 
+def test_malformed_records_are_manifest_errors(tmp_path):
+    _write_case(tmp_path, "a")
+    for entries, match in [
+        (["case_a"], "case record must be a JSON object"),
+        ([_entry("a", "organ_only", classes=["liver"])], "annotated_classes must be class ids"),
+        ([_entry("a", "organ_only", classes=3)], "annotated_classes must be class ids"),
+        ([dict(_entry("a", "full"), case_id=7)], "not a string: case_id"),
+        ([dict(_entry("a", "full"), annotation_status=["full"])], "not a string: annotation_status"),
+    ]:
+        with pytest.raises(ManifestError, match=match):
+            load_manifest(_write_manifest(tmp_path, entries))
+
+
 def test_median_spacing_lower_median(tmp_path):
     for cid, sp in [("a", (1.0, 1.0, 1.0)), ("b", (2.0, 3.0, 5.0)), ("c", (4.0, 2.0, 2.0)), ("d", (3.0, 8.0, 9.0))]:
         _write_case(tmp_path, cid, spacing=sp, with_label=False)

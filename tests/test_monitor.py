@@ -1,3 +1,5 @@
+import os
+import resource
 import sys
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxseg import monitor
 from voxseg.errors import VoxsegError
 from voxseg.monitor import (
     BYTES_PER_GB,
@@ -109,6 +112,17 @@ def test_efficiency_report_tolerance():
     assert abs(r2.peak_mem_gb - 6.0) < 1e-9
     d = r2.to_dict()
     assert set(d) == {"runtime_s", "runtime_over_tolerance_s", "mem_auc_gb_s", "peak_mem_gb"}
+
+
+def test_self_rss_uses_the_system_page_size(monkeypatch):
+    # statm counts pages; bytes follow from the page size the system reports
+    page = 65536
+    monkeypatch.setattr(resource, "getpagesize", lambda: page)
+    with open(f"/proc/{os.getpid()}/statm") as fh:
+        pages = int(fh.read().split()[1])
+    got = monitor._read_self_rss(os.getpid())
+    assert got % page == 0
+    assert abs(got // page - pages) <= 64  # RSS may move a little between the reads
 
 
 def test_sample_run_includes_final_sample():

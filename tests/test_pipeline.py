@@ -8,7 +8,7 @@ import pytest
 
 from voxseg.config import PipelineConfig, SegmenterContract, load_config
 from voxseg.errors import PipelineError, SegmenterError, VoxsegError
-from voxseg.fixture import make_label
+from voxseg.fixture import blob_slices, make_label
 from voxseg.manifest import load_manifest
 from voxseg.nifti import load_nifti, save_nifti
 from voxseg import pipeline
@@ -542,6 +542,63 @@ def test_external_sources_respect_priority(fixture_dataset, tmp_path):
     # ground truth still wins over any vote outcome
     got_a = load_nifti(tmp_path / "w1" / "final" / "case_a.nii.gz")
     assert np.array_equal(got_a.data, make_label((1, 3, 5, 14)).data)
+
+
+def test_merge_reads_each_ground_truth_once(fixture_dataset, tmp_path, monkeypatch):
+    manifest, _ = _load(fixture_dataset)
+    config = _degenerate_config(fixture_dataset)
+    loads = {}
+    real_load = pipeline.load_nifti
+
+    def counting_load(path):
+        loads[str(path)] = loads.get(str(path), 0) + 1
+        return real_load(path)
+
+    monkeypatch.setattr(pipeline, "load_nifti", counting_load)
+    report = run_pipeline(manifest, None, config, tmp_path / "work")
+    assert [h["phase"] for h in report["history"]] == [MERGE]  # rounds 0/0: all loads are the merge's
+    gt_loads = {r.case_id: loads.get(str(manifest.label_file(r)), 0)
+                for r in manifest.cases if r.label_path}
+    # case_f is held out: the merge overlays no ground truth on it
+    assert gt_loads == {"case_a": 1, "case_b": 1, "case_c": 1, "case_f": 0}
+
+
+def test_own_labels_of_a_teacher_are_zeros_x_fastest(fixture_dataset, tmp_path):
+    # no pseudo label in either phase: zeros, laid out like the maps they are voted and saved with
+    manifest, _ = _load(fixture_dataset)
+    config = _degenerate_config(fixture_dataset)
+    own = pipeline._own_labels(tmp_path, manifest, config, manifest.case("case_a"))
+    assert own.dims == (24, 24, 16) and not own.data.any()
+    assert own.data.flags.f_contiguous
+
+
+@pytest.mark.parametrize("trust", [False, True])
+def test_ground_truth_overrides_external_votes(fixture_dataset, tmp_path, trust):
+    manifest, _ = _load(fixture_dataset)
+    gt = make_label((1, 3, 5)).data  # case_c, organ_only (1, 3, 5)
+    dirs = {}
+    for name, split_vote in (("e1", 7), ("e2", 8)):
+        data = np.zeros_like(gt)
+        data[blob_slices(1)] = 2  # inside GT foreground: both sources say organ 2
+        data[blob_slices(14)] = 14  # outside it, a class case_c does not annotate
+        data[0:2, 0:2, 0:2] = 3  # outside it, a class case_c annotates
+        data[20:22, 20:22, 0:2] = split_vote  # the sources disagree: own (0) wins the tie
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        save_nifti(Volume(data, make_label(()).spacing), dirs[name] / "case_c.nii.gz")
+    config = _degenerate_config(
+        fixture_dataset,
+        f"external_label_dirs={json.dumps({k: str(v) for k, v in dirs.items()})}",
+        'fusion.source_priority=["own","e1","e2"]',
+        f"fusion.gt_background_trust={str(trust).lower()}",
+    )
+    run_pipeline(manifest, None, config, tmp_path / "work")
+
+    want = gt.copy()
+    want[blob_slices(14)] = 14
+    want[0:2, 0:2, 0:2] = 0 if trust else 3
+    got = load_nifti(tmp_path / "work" / "final" / "case_c.nii.gz").data
+    assert np.array_equal(got, want)
 
 
 def test_merge_failure_is_recorded_and_others_finish(fixture_dataset, tmp_path):
