@@ -55,7 +55,6 @@ class PipelineConfig:
     keep_largest_classes: tuple[int, ...] = DEFAULT_KEEP_LARGEST_CLASSES
     rounds_tumor: int = 2
     rounds_organ: int = 2
-    phase_order: tuple[str, ...] = ("tumor", "organ")
     eval_cases: tuple[str, ...] = ()
     external_label_dirs: dict[str, str] = field(default_factory=dict)
     segmenter: SegmenterContract | None = None
@@ -65,8 +64,6 @@ class PipelineConfig:
             raise ConfigError(f"connectivity must be 6 or 26, got {self.connectivity}")
         if self.rounds_tumor < 0 or self.rounds_organ < 0:
             raise ConfigError("round counts must be nonnegative")
-        if sorted(self.phase_order) != ["organ", "tumor"]:
-            raise ConfigError(f"phase_order must be a permutation of (tumor, organ), got {self.phase_order}")
         if not self.nsd_tau > 0:
             raise ConfigError(f"nsd_tau must be positive, got {self.nsd_tau}")
 
@@ -80,7 +77,6 @@ class PipelineConfig:
         d = asdict(self)
         d["fusion"]["source_priority"] = list(self.fusion.source_priority)
         d["keep_largest_classes"] = list(self.keep_largest_classes)
-        d["phase_order"] = list(self.phase_order)
         d["eval_cases"] = list(self.eval_cases)
         return d
 
@@ -137,7 +133,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         if "segmenter" in raw:
             seg = raw.pop("segmenter")
             kwargs["segmenter"] = SegmenterContract(**seg) if seg else None
-        for key in ("keep_largest_classes", "phase_order", "eval_cases"):
+        for key in ("keep_largest_classes", "eval_cases"):
             if key in raw:
                 kwargs[key] = tuple(raw.pop(key))
     except TypeError as exc:

@@ -116,6 +116,9 @@ def load_manifest(path, root=None) -> Manifest:
         if wrong:
             raise ManifestError(f"case {entry.get('case_id')!r}: not a string: {', '.join(wrong)}")
         status = entry.get("annotation_status")
+        if status not in STATUSES:
+            what = "no annotation_status" if status is None else f"unknown status {status!r}"
+            raise ManifestError(f"case {entry.get('case_id')!r}: {what}")
         classes = entry.get("annotated_classes", _STATUS_CLASSES.get(status))
         if classes is None:
             raise ManifestError(

@@ -12,9 +12,10 @@ order, on the calling thread.
 
 State lives in ``<work>/state.json``, a snapshot rewritten atomically at
 every stage boundary, plus ``state.json.journal``, which gets one JSON line
-per finished case and is emptied by the next snapshot.  Fused files carry
-content digests so a killed run resumes without recomputing finished
-cases.  Work directory layout:
+per finished case and is emptied by the next snapshot.  Each snapshot
+names the step that runs next: a round of a phase, the merge, or done.
+Fused files carry content digests so a killed run resumes without
+recomputing finished cases.  Work directory layout:
 
     state.json                      snapshot at the last stage boundary
     state.json.journal              per-case outcomes since that snapshot
@@ -57,6 +58,7 @@ from .volume import (
 
 log = logging.getLogger(__name__)
 
+# in run order; the phases share no class, so their order changes no label
 PHASE_CLASSES = {
     "tumor": frozenset({TUMOR_CLASS}),
     "organ": frozenset(ORGAN_CLASSES),
@@ -105,6 +107,18 @@ def _ext(path) -> str:
     return ".nii.gz" if str(path).endswith(".nii.gz") else ".nii"
 
 
+def _next_step(config: PipelineConfig, phase: str, rnd: int) -> tuple[str, int]:
+    """The step that runs once ``rnd`` rounds of ``phase`` are done: round
+    ``rnd`` of ``phase`` if configured, else round 0 of the next phase in
+    ``PHASE_CLASSES`` order that has rounds, else the merge."""
+    phases = list(PHASE_CLASSES)
+    for p in phases[phases.index(phase):]:
+        if rnd < config.rounds(p):
+            return p, rnd
+        rnd = 0
+    return MERGE, 0
+
+
 class PipelineState:
     """Mutable run state: a JSON snapshot plus an append-only case journal.
 
@@ -124,10 +138,11 @@ class PipelineState:
 
     @classmethod
     def fresh(cls, path, config: PipelineConfig) -> "PipelineState":
+        phase, rnd = _next_step(config, next(iter(PHASE_CLASSES)), 0)
         data = {
             "version": STATE_VERSION,
-            "phase": config.phase_order[0],
-            "round": 0,
+            "phase": phase,
+            "round": rnd,
             "stage": {"trained": False, "predicted": False},
             "cases": {},
             "history": [],
@@ -237,16 +252,9 @@ class PipelineState:
             fh.write(line + "\n")
         self._crash_hook()
 
-    def end_round(self, record: dict) -> None:
+    def end_round(self, record: dict, config: PipelineConfig) -> None:
         self.data["history"].append(record)
-        self.data["round"] += 1
-        self.data["stage"] = {"trained": False, "predicted": False}
-        self.data["cases"] = {}
-        self.persist()
-
-    def advance_phase(self, next_phase: str) -> None:
-        self.data["phase"] = next_phase
-        self.data["round"] = 0
+        self.data["phase"], self.data["round"] = _next_step(config, self.phase, self.round + 1)
         self.data["stage"] = {"trained": False, "predicted": False}
         self.data["cases"] = {}
         self.persist()
@@ -397,15 +405,22 @@ def _case_prob_paths(
     return flips, classes
 
 
+def _off_grid(got: tuple, want: tuple) -> str | None:
+    """Why (dims, spacing) ``got`` is not the image's ``want``, or None."""
+    if got[0] == want[0] and got[1].close_to(want[1]):
+        return None
+    return (
+        f"grid {got[0]} at {got[1].as_tuple()} mm does not match "
+        f"the image's {want[0]} at {want[1].as_tuple()} mm"
+    )
+
+
 def _load_on_grid(path: Path, grid: tuple) -> Volume:
     """One segmenter output map, checked against the case's (dims, spacing)."""
     vol = load_nifti(path)
-    dims, spacing = grid
-    if vol.dims != dims or not vol.spacing.close_to(spacing):
-        raise VoxsegError(
-            f"{path.name}: grid {vol.dims} at {vol.spacing.as_tuple()} mm does not match "
-            f"the image's {dims} at {spacing.as_tuple()} mm"
-        )
+    why = _off_grid((vol.dims, vol.spacing), grid)
+    if why:
+        raise VoxsegError(f"{path.name}: {why}")
     return vol
 
 
@@ -649,7 +664,7 @@ def run_phase(
         log.info(
             "phase %s round %d held-out mean DSC: %.4f", phase, rnd, evaluation["mean_dsc"]
         )
-    state.end_round(record)
+    state.end_round(record, config)
     return state
 
 
@@ -703,13 +718,9 @@ def run_merge(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
     return state
 
 
-def _next_phase(config: PipelineConfig, current: str) -> str:
-    order = list(config.phase_order) + [MERGE]
-    return order[order.index(current) + 1]
-
-
 def validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
-    """Reject a config that cannot run on ``manifest`` before any work starts."""
+    """Reject a config that cannot run on ``manifest``, or a label file off
+    its image's grid, before any work starts."""
     ids = {r.case_id for r in manifest.cases}
     for cid in config.eval_cases:
         if cid not in ids:
@@ -722,9 +733,14 @@ def validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
             raise PipelineError(
                 f"fusion.source_priority must rank every vote source; missing {missing}"
             )
-    total_rounds = sum(config.rounds(p) for p in config.phase_order)
+    total_rounds = sum(config.rounds(p) for p in PHASE_CLASSES)
     if total_rounds > 0 and contract is None:
         raise PipelineError("config.segmenter is required when any phase has rounds > 0")
+    for rec in manifest.cases:
+        if rec.label_path:
+            why = _off_grid(peek_nifti(manifest.label_file(rec)), peek_nifti(manifest.image_file(rec)))
+            if why:
+                raise PipelineError(f"case {rec.case_id!r}: label {why}")
 
 
 def check_failed(records: list[dict], where: Path) -> None:
@@ -788,16 +804,10 @@ def run_pipeline(
     state = open_state(work, config, resume)
 
     while state.phase != DONE:
-        phase = state.phase
-        if phase in PHASE_CLASSES:
-            if state.round >= config.rounds(phase):
-                state.advance_phase(_next_phase(config, phase))
-                continue
-            run_phase(state, manifest, contract, config, phase)
-        elif phase == MERGE:
+        if state.phase == MERGE:
             run_merge(state, manifest, config)
         else:
-            raise PipelineError(f"corrupt state: unknown phase {phase!r}")
+            run_phase(state, manifest, contract, config, state.phase)
 
     report = _build_report(state)
     _write_json(report, work / "report.json")

@@ -466,6 +466,25 @@ def test_phase_cli_single_round(fixture_dataset, tmp_path, capsys):
     assert state["round"] == 1
 
 
+def test_phase_cli_runs_the_configured_rounds_then_run_merges(completed_run, tmp_path, capsys):
+    dataset = completed_run["dataset"]
+    work = tmp_path / "work"
+    base = ["--manifest", str(dataset["manifest"]), "--config", str(dataset["config"]),
+            "--work", str(work)]
+    for phase in ("tumor", "tumor", "organ", "organ"):
+        assert main(["phase", "--phase", phase, *base]) == 0, phase
+    # every configured round is done: the state names the merge
+    assert main(["phase", "--phase", "organ", *base]) == 1
+    assert "state is in phase 'merge', not 'organ'" in capsys.readouterr().err
+    assert main(["run", *base]) == 0
+    report = json.loads((work / "report.json").read_text())
+    assert report["history"] == completed_run["report"]["history"]
+    for cid in [f"case_{s}" for s in "abcdef"]:
+        got = load_nifti(work / "final" / f"{cid}.nii.gz").data
+        want = load_nifti(completed_run["work"] / "final" / f"{cid}.nii.gz").data
+        assert np.array_equal(got, want), cid
+
+
 def test_phase_cli_validates_config_before_training(fixture_dataset, tmp_path, capsys):
     work = tmp_path / "work"
     code = main([

@@ -23,7 +23,7 @@ CONFIG_SURFACE = {
     "fusion.gt_background_trust", "fusion.tumor_overrides_organ",
     "fusion.min_votes", "fusion.source_priority",
     "nsd_tau", "tta", "connectivity", "keep_largest_classes", "rounds_tumor", "rounds_organ",
-    "phase_order", "eval_cases", "external_label_dirs",
+    "eval_cases", "external_label_dirs",
     "segmenter.train_cmd", "segmenter.predict_cmd", "segmenter.output_mode",
 }
 
@@ -73,6 +73,12 @@ def test_gt_overrides_is_not_a_key():
         config_from_dict({"fusion": {"gt_overrides": True}})
 
 
+def test_phase_order_is_not_a_key():
+    # the phases run in PHASE_CLASSES order: they share no class, so order changes no label
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        config_from_dict({"phase_order": ["organ", "tumor"]})
+
+
 def test_defaults():
     cfg = PipelineConfig()
     assert cfg.nsd_tau == 1.0
@@ -80,7 +86,6 @@ def test_defaults():
     assert cfg.connectivity == 26
     assert cfg.keep_largest_classes == ORGAN_CLASSES
     assert (cfg.rounds_tumor, cfg.rounds_organ) == (2, 2)
-    assert cfg.phase_order == ("tumor", "organ")
     assert cfg.segmenter is None
     assert cfg.rounds("tumor") == 2 and cfg.rounds("organ") == 2
     assert cfg.nsd_params().tau == 1.0
@@ -91,8 +96,6 @@ def test_validation():
         PipelineConfig(connectivity=18)
     with pytest.raises(ConfigError, match="nonnegative"):
         PipelineConfig(rounds_tumor=-1)
-    with pytest.raises(ConfigError, match="phase_order"):
-        PipelineConfig(phase_order=("tumor", "tumor"))
     with pytest.raises(ConfigError, match="nsd_tau"):
         PipelineConfig(nsd_tau=0.0)
 
@@ -131,8 +134,8 @@ def test_roundtrip_via_file(tmp_path):
 
 
 def test_parse_overrides():
-    tree = parse_overrides(["nsd_tau=2.5", "fusion.min_votes=2", "phase_order=organ"])
-    assert tree == {"nsd_tau": 2.5, "fusion": {"min_votes": 2}, "phase_order": "organ"}
+    tree = parse_overrides(["nsd_tau=2.5", "fusion.min_votes=2", "segmenter.output_mode=labels"])
+    assert tree == {"nsd_tau": 2.5, "fusion": {"min_votes": 2}, "segmenter": {"output_mode": "labels"}}
     with pytest.raises(ConfigError, match="key=value"):
         parse_overrides(["nsd_tau"])
 
@@ -179,9 +182,7 @@ def test_bad_file(tmp_path):
 
 
 def test_to_dict_is_json_stable():
-    cfg = PipelineConfig(
-        phase_order=("organ", "tumor"), fusion=FusionPolicy(source_priority=("own", "ext"))
-    )
+    cfg = PipelineConfig(fusion=FusionPolicy(source_priority=("own", "ext")))
     d = cfg.to_dict()
     again = json.loads(json.dumps(d, sort_keys=True))
     assert config_from_dict(again) == cfg

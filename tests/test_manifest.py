@@ -143,6 +143,16 @@ def test_organ_only_requires_explicit_classes(tmp_path):
         load_manifest(path)
 
 
+def test_missing_status_is_named(tmp_path):
+    _write_case(tmp_path, "a")
+    entry = _entry("a", "full")
+    del entry["annotation_status"]
+    with pytest.raises(ManifestError, match="case 'a': no annotation_status"):
+        load_manifest(_write_manifest(tmp_path, [entry]))
+    with pytest.raises(ManifestError, match="case 'a': unknown status 'partial'"):
+        load_manifest(_write_manifest(tmp_path, [_entry("a", "partial")]))
+
+
 def test_not_an_array(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"cases": []}))

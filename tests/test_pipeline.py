@@ -1,6 +1,9 @@
 import json
 import os
+import re
+import shutil
 import sys
+from pathlib import Path
 import weakref
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from voxseg.config import PipelineConfig, SegmenterContract, load_config
 from voxseg.errors import PipelineError, SegmenterError, VoxsegError
-from voxseg.fixture import blob_slices, make_label
+from voxseg.fixture import FIXTURE_SPACING, blob_slices, make_label
 from voxseg.manifest import load_manifest
 from voxseg.nifti import load_nifti, save_nifti
 from voxseg import pipeline
@@ -97,8 +100,28 @@ def test_state_mutators_persist(tmp_path):
     resumed = PipelineState.load(tmp_path / "state.json").data
     assert resumed["cases"] == {"x": {"status": FUSED, "digest": "d"}}
     assert resumed["persist_count"] == 4
-    state.end_round({"phase": "tumor", "round": 0})
+    state.end_round({"phase": "tumor", "round": 0}, PipelineConfig())
     assert state.round == 1 and state.cases == {} and not state.stage("trained")
+
+
+def test_fresh_state_names_the_first_configured_round(tmp_path):
+    path = tmp_path / "state.json"
+    state = PipelineState.fresh(path, PipelineConfig(rounds_tumor=0))
+    assert (state.phase, state.round) == ("organ", 0)
+    state = PipelineState.fresh(path, PipelineConfig(rounds_tumor=0, rounds_organ=0))
+    assert state.phase == MERGE
+
+
+def test_end_round_names_the_next_step(tmp_path):
+    config = PipelineConfig(rounds_tumor=1, rounds_organ=1)
+    state = PipelineState.fresh(tmp_path / "state.json", config)
+    assert (state.phase, state.round) == ("tumor", 0)
+    state.end_round({"phase": "tumor", "round": 0}, config)
+    assert (state.phase, state.round) == ("organ", 0)
+    state.end_round({"phase": "organ", "round": 0}, config)
+    assert state.phase == MERGE
+    # each step is on disk as soon as the round ends
+    assert json.loads((tmp_path / "state.json").read_text())["phase"] == MERGE
 
 
 def _journal_lines(state):
@@ -680,22 +703,92 @@ def test_round_digest_skip_and_redo(fixture_dataset, tmp_path, monkeypatch):
     assert not list((tmp_path / "rounds").glob("*/fused"))
 
 
-def test_organ_phase_first(fixture_dataset, tmp_path):
-    # held-out evaluation runs while the tumor phase has no pseudo labels yet
-    manifest, _ = _load(fixture_dataset)
-    config = load_config(fixture_dataset["config"], overrides=['phase_order=["organ","tumor"]'])
-    report = run_pipeline(manifest, config.segmenter, config, tmp_path / "work")
-    history = report["history"]
+def test_phases_run_in_fixed_order(completed_run):
+    # tumor, then organ: the phases share no class, so the order changes no label;
+    # held-out evaluation runs while the organ phase has no pseudo labels yet
+    history = completed_run["report"]["history"]
     assert [(h["phase"], h.get("round")) for h in history] == [
-        ("organ", 0), ("organ", 1), ("tumor", 0), ("tumor", 1), (MERGE, None),
+        ("tumor", 0), ("tumor", 1), ("organ", 0), ("organ", 1), (MERGE, None),
     ]
-    assert [h["eval"]["mean_dsc"] for h in history[:4]] == [0.0, 0.75, 0.75, 1.0]
+    assert [h["eval"]["mean_dsc"] for h in history[:4]] == [0.0, 0.25, 0.25, 1.0]
     assert all(h["failed"] == [] for h in history)
     want = make_label((1, 3, 5, 14)).data
-    assert sorted(report["final_labels"]) == [f"case_{s}" for s in "abcdef"]
-    for cid in report["final_labels"]:
-        got = load_nifti(tmp_path / "work" / "final" / f"{cid}.nii.gz")
+    assert sorted(completed_run["report"]["final_labels"]) == [f"case_{s}" for s in "abcdef"]
+    for cid in completed_run["report"]["final_labels"]:
+        got = load_nifti(completed_run["work"] / "final" / f"{cid}.nii.gz")
         assert np.array_equal(got.data, want), cid
+
+
+def test_resume_after_the_last_tumor_round(completed_run, tmp_path, monkeypatch):
+    class Killed(Exception):
+        pass
+
+    def fake_exit(code):
+        raise Killed(code)
+
+    manifest, config = completed_run["manifest"], completed_run["config"]
+    work = tmp_path / "work"
+    # writes: 1 fresh; per round trained, predicted, four students, end_round (7 each)
+    monkeypatch.setenv(CRASH_ENV, "15")
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Killed):
+        run_pipeline(manifest, config.segmenter, config, work)
+    monkeypatch.delenv(CRASH_ENV)
+
+    state = PipelineState.load(work / "state.json")
+    assert (state.phase, state.round) == ("organ", 0)
+    assert [(h["phase"], h["round"]) for h in state.history] == [("tumor", 0), ("tumor", 1)]
+    report = run_pipeline(manifest, config.segmenter, config, work)
+    assert report["history"] == completed_run["report"]["history"]
+    for cid in [f"case_{s}" for s in "abcdef"]:
+        got = (work / "final" / f"{cid}.nii.gz").read_bytes()
+        assert got == (completed_run["work"] / "final" / f"{cid}.nii.gz").read_bytes(), cid
+
+
+def _readme_work_tree():
+    """``(top level, round dir)`` names in README's "Work directory" tree;
+    ``a/ b/`` on one line names both, and indented lines belong to
+    ``rounds/<phase>_r<k>/``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n### Work directory\n", 1)[1].split("```\n", 2)[1]
+    top, rnd = set(), set()
+    for line in block.splitlines():
+        names = re.split(r"\s{2,}", line.strip())[0].split()
+        (rnd if line.startswith(" ") else top).update(n.rstrip("/") for n in names)
+    return top, rnd
+
+
+def test_readme_work_tree_names_what_a_run_leaves(completed_run):
+    top, rnd = _readme_work_tree()
+    work = completed_run["work"]
+    assert top == {"rounds/<phase>_r<k>" if n == "rounds" else n for n in os.listdir(work)}
+    rounds = work / "rounds"
+    assert sorted(os.listdir(rounds)) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
+    for name in os.listdir(rounds):
+        assert set(os.listdir(rounds / name)) == rnd, name
+
+
+def _dataset_with_label(fixture_dataset, tmp_path, label: Volume):
+    """A copy of the fixture dataset whose case_a label is ``label``."""
+    root = tmp_path / "data"
+    shutil.copytree(fixture_dataset["root"], root)
+    save_nifti(label, root / "labels" / "case_a.nii.gz")
+    return load_manifest(root / "manifest.json")
+
+
+@pytest.mark.parametrize("label, grid", [
+    (Volume(np.zeros((24, 24, 8), dtype=np.uint8), FIXTURE_SPACING), r"\(24, 24, 8\) at \(1.0, 1.0, 2.5\)"),
+    (Volume(np.zeros((24, 24, 16), dtype=np.uint8), Spacing(1, 1, 5)), r"\(24, 24, 16\) at \(1.0, 1.0, 5.0\)"),
+], ids=["dims", "spacing"])
+def test_label_off_its_image_grid_is_rejected_before_work(fixture_dataset, tmp_path, label, grid):
+    manifest = _dataset_with_label(fixture_dataset, tmp_path, label)
+    config = load_config(fixture_dataset["config"])
+    work = tmp_path / "work"
+    image = r"\(24, 24, 16\) at \(1.0, 1.0, 2.5\)"
+    message = rf"case 'case_a': label grid {grid} mm does not match the image's {image} mm"
+    with pytest.raises(PipelineError, match=message):
+        run_pipeline(manifest, config.segmenter, config, work)
+    assert not work.exists()
 
 
 def test_labels_mode_contract(fixture_dataset, tmp_path):
