@@ -50,7 +50,7 @@ def main() -> None:
     config = load_config(paths["config"])
 
     start = time.perf_counter()
-    report = run_pipeline(manifest, config.segmenter, config, root / "work")
+    report = run_pipeline(manifest, config, root / "work")
     elapsed = time.perf_counter() - start
 
     for rec in report["history"]:

@@ -2,6 +2,8 @@
 segmentation — volume I/O, preprocessing, pseudo-label fusion, flip TTA,
 post-processing, DSC/NSD metrics, efficiency monitoring, and a resumable
 orchestrator driving an external segmenter over a subprocess contract.
+
+The names imported below are the package's public API.
 """
 
 from .errors import (
@@ -14,7 +16,6 @@ from .errors import (
 )
 from .volume import (
     CLASS_NAMES,
-    NUM_CLASSES,
     ORGAN_CLASSES,
     TUMOR_CLASS,
     ProbMap,
@@ -24,7 +25,6 @@ from .volume import (
 from .nifti import load_nifti, peek_nifti, save_nifti
 from .preprocess import (
     NormalizationParams,
-    ResampleSpec,
     clip_normalize,
     median_spacing,
     resample_image,
@@ -45,69 +45,7 @@ from .metrics import (
 )
 from .monitor import EfficiencyReport, ResourceTrace, auc_above_floor, efficiency_report, sample_run
 from .manifest import CaseRecord, Manifest, load_manifest, manifest_median_spacing
-from .config import PipelineConfig, SegmenterContract, load_config, save_config
+from .config import PipelineConfig, SegmenterContract, load_config
 from .pipeline import PipelineState, run_merge, run_phase, run_pipeline
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CLASS_NAMES",
-    "CaseRecord",
-    "ConfigError",
-    "EfficiencyReport",
-    "FlipSpec",
-    "FusionPolicy",
-    "Manifest",
-    "ManifestError",
-    "MetricReport",
-    "NiftiError",
-    "NormalizationParams",
-    "NsdParams",
-    "NUM_CLASSES",
-    "ORGAN_CLASSES",
-    "PartialLabel",
-    "PipelineConfig",
-    "PipelineError",
-    "PipelineState",
-    "ProbMap",
-    "ResampleSpec",
-    "ResourceTrace",
-    "SegmenterContract",
-    "SegmenterError",
-    "Spacing",
-    "TUMOR_CLASS",
-    "Volume",
-    "VoxsegError",
-    "aggregate",
-    "aggregate_cohort",
-    "apply_flip",
-    "argmax_labels",
-    "auc_above_floor",
-    "clip_normalize",
-    "connected_components",
-    "dsc",
-    "edt",
-    "efficiency_report",
-    "enumerate_flips",
-    "evaluate_case",
-    "keep_largest",
-    "load_config",
-    "load_manifest",
-    "load_nifti",
-    "majority_vote",
-    "manifest_median_spacing",
-    "median_spacing",
-    "merge_organ_tumor",
-    "merge_partial",
-    "nsd",
-    "peek_nifti",
-    "resample_image",
-    "resample_labels",
-    "run_merge",
-    "run_phase",
-    "run_pipeline",
-    "sample_run",
-    "save_config",
-    "save_nifti",
-    "surface_voxels",
-]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +44,7 @@ from .pipeline import (
     validate_run,
 )
 from .postprocess import keep_largest
-from .preprocess import ResampleSpec, clip_normalize, resample_image, resample_labels
+from .preprocess import clip_normalize, resample_image, resample_labels
 from .volume import Spacing, check_labelmap
 
 log = logging.getLogger(__name__)
@@ -74,7 +75,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
     work = Path(args.work)
-    report = run_pipeline(manifest, config.segmenter, config, work, resume=not args.fresh)
+    report = run_pipeline(manifest, config, work, resume=not args.fresh)
     print(f"final labels: {len(report['final_labels'])} case(s) in {work / 'final'}")
     evals = [h["eval"]["mean_dsc"] for h in report["history"] if h.get("eval")]
     if evals:
@@ -86,9 +87,9 @@ def cmd_run(args) -> int:
 def cmd_phase(args) -> int:
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
-    validate_run(manifest, config, config.segmenter)
+    validate_run(manifest, config)
     state = open_state(Path(args.work), config, resume=not args.fresh)
-    run_phase(state, manifest, config.segmenter, config, args.phase)
+    run_phase(state, manifest, config, args.phase)
     last = state.history[-1]
     print(
         f"phase {last['phase']} round {last['round']}: fused {last['fused']}/{last['students']} case(s)"
@@ -261,12 +262,12 @@ def cmd_preprocess(args) -> int:
         if args.labels:
             vol = check_labelmap(vol)
             if target is not None:
-                vol = resample_labels(vol, ResampleSpec(target))
+                vol = resample_labels(vol, target)
         else:
             if not args.no_normalize:
                 vol = clip_normalize(vol, config.normalization)
             if target is not None:
-                vol = resample_image(vol, ResampleSpec(target))
+                vol = resample_image(vol, target)
         save_nifti(vol, out_path)
     print(f"wrote {out}")
     return 0
@@ -276,7 +277,11 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    returncode, trace = sample_run(args.cmd, probe=args.probe, period_s=args.period)
+    try:
+        argv = shlex.split(args.cmd)
+    except ValueError as exc:  # e.g. an unpaired quote
+        raise _UsageError(f"cannot parse --cmd {args.cmd!r}: {exc}") from exc
+    returncode, trace = sample_run(argv, probe=args.probe, period_s=args.period)
     runtime = trace.samples[-1][0]
     report = efficiency_report(trace, runtime, args.floor)
     print(

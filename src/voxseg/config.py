@@ -6,6 +6,7 @@ into the pipeline state for reproducibility.
 from __future__ import annotations
 
 import json
+import shlex
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,8 +23,9 @@ class SegmenterContract:
 
     ``train_cmd`` may use {train_dir}, {label_dir}, {model_dir};
     ``predict_cmd`` may use {model_dir}, {input_dir}, {output_dir}.
-    Commands must exit 0 on success; predict writes one output per input
-    case (``<case>.nii.gz`` or ``<case>_prob_<class>.nii.gz``).
+    A template is split into arguments by shell quoting rules and run
+    without a shell. Commands must exit 0 on success; predict writes one
+    output per input case (``<case>.nii.gz`` or ``<case>_prob_<class>.nii.gz``).
     """
 
     train_cmd: str
@@ -40,9 +42,11 @@ class SegmenterContract:
             if not isinstance(tmpl, str):
                 raise ConfigError(f"segmenter command template must be a string, got {tmpl!r}")
             try:
-                tmpl.format(**{k: "" for k in allowed})
+                shlex.split(tmpl.format(**{k: "" for k in allowed}))
             except (KeyError, IndexError) as exc:
                 raise ConfigError(f"bad placeholder in command template {tmpl!r}: {exc}") from exc
+            except ValueError as exc:  # an unpaired brace or quote
+                raise ConfigError(f"cannot parse command template {tmpl!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,22 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# dotted keys whose JSON value must be a boolean, and those that must be an array
+_BOOL_KEYS = ("tta", "fusion.tumor_overrides_organ", "fusion.gt_background_trust")
+_LIST_KEYS = ("keep_largest_classes", "eval_cases", "fusion.source_priority")
+
+
+def _check_json_types(raw: dict) -> None:
+    for keys, kind, what in ((_BOOL_KEYS, bool, "true or false"), (_LIST_KEYS, list, "an array")):
+        for key in keys:
+            section, _, leaf = key.rpartition(".")
+            node = raw.get(section) if section else raw
+            if isinstance(node, dict) and leaf in node and not isinstance(node[leaf], kind):
+                raise ConfigError(f"{key} must be {what}, got {node[leaf]!r}")
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
+    _check_json_types(raw)
     raw = dict(raw)
     kwargs = {}
     try:
@@ -136,7 +155,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         for key in ("keep_largest_classes", "eval_cases"):
             if key in raw:
                 kwargs[key] = tuple(raw.pop(key))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     known = PipelineConfig.__dataclass_fields__
     unknown = [k for k in raw if k not in known]
@@ -144,7 +163,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"unknown config keys: {unknown}")
     try:
         return PipelineConfig(**kwargs, **raw)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
@@ -161,9 +180,3 @@ def load_config(path=None, overrides: list[str] | None = None) -> PipelineConfig
     if overrides:
         data = _merge(data, parse_overrides(overrides))
     return config_from_dict(data)
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -4,7 +4,9 @@ merging of partial ground truth with pseudo labels.
 Background (0) counts as a vote. Ground-truth foreground always wins
 over pseudo labels. Partial-label background is treated as unknown by
 default, so pseudo labels may fill it; set ``gt_background_trust`` to
-suppress pseudo claims of classes the ground truth annotates.
+suppress pseudo claims of classes the ground truth annotates. Every
+map combined must lie on one grid: equal dims, and spacings equal within
+``Spacing.close_to``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import VoxsegError
-from .volume import TUMOR_CLASS, Volume, check_labelmap, labelmap_like
+from .volume import TUMOR_CLASS, Volume, check_labelmap, check_same_grid, labelmap_like
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,6 @@ class PartialLabel:
         return self.map.data != 0
 
 
-def _check_dims(maps: list[Volume]) -> None:
-    dims = {m.dims for m in maps}
-    if len(dims) > 1:
-        raise VoxsegError(f"dim mismatch across label maps: {sorted(dims)}")
-
-
 def majority_vote(sources: list[tuple[str, Volume]], policy: FusionPolicy) -> Volume:
     """Per-voxel plurality vote; ties go to the earliest priority source
     whose vote is among the tied classes."""
@@ -78,7 +74,7 @@ def majority_vote(sources: list[tuple[str, Volume]], policy: FusionPolicy) -> Vo
     maps = [m for _, m in sources]
     for m in maps:
         check_labelmap(m)
-    _check_dims(maps)
+    check_same_grid(sources)
 
     # agree[i]: how many sources vote like source i, i.e. its class's count;
     # the plurality count is the largest of these
@@ -114,7 +110,7 @@ def merge_partial(gt: PartialLabel, pseudo: Volume, policy: FusionPolicy) -> Vol
     ``gt_background_trust`` is set.
     """
     check_labelmap(pseudo)
-    _check_dims([gt.map, pseudo])
+    check_same_grid([("gt", gt.map), ("pseudo", pseudo)])
     out = pseudo.data.copy(order="K")
     fg = gt.foreground()
     if policy.gt_background_trust and gt.annotated_classes:
@@ -129,7 +125,7 @@ def merge_organ_tumor(
     """Combine an organ-only map with a tumor-only map into one label map."""
     check_labelmap(organ)
     check_labelmap(tumor)
-    _check_dims([organ, tumor])
+    check_same_grid([("organ", organ), ("tumor", tumor)])
     if np.any(organ.data == TUMOR_CLASS):
         raise VoxsegError(f"organ map already contains tumor class {TUMOR_CLASS}")
     tumor_values = set(np.unique(tumor.data))

@@ -3,10 +3,11 @@ aggregation. The exact anisotropic Euclidean distance transform and the
 surface extraction are SciPy's (``ndimage.distance_transform_edt`` and
 ``ndimage.binary_erosion``).
 
-Conventions: a class empty in both maps scores 1.0 (flagged absent);
-empty in exactly one scores 0.0. Surfaces are foreground voxels with a
-6-neighbor (or grid boundary) background contact. All distances are in
-millimeters between voxel centers.
+Conventions: ``evaluate_case`` scores every foreground class (1..14); a
+class empty in both maps scores 1.0 (flagged absent); empty in exactly
+one scores 0.0. Surfaces are foreground voxels with a 6-neighbor (or grid
+boundary) background contact. All distances are in millimeters between
+voxel centers.
 """
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import VoxsegError
-from .volume import CLASS_NAMES, ORGAN_CLASSES, TUMOR_CLASS, Spacing, Volume, as_binary
+from .volume import (
+    CLASS_NAMES, FOREGROUND_CLASSES, ORGAN_CLASSES, Spacing, Volume, as_binary, check_same_grid,
+)
 
 _FACE_NEIGHBORS = ndimage.generate_binary_structure(3, 1)
 
@@ -125,11 +128,9 @@ class MetricReport:
         vals = self._organ_scores("nsd")
         return float(np.mean(vals)) if vals else 1.0
 
-    def mean_dsc(self, classes=None) -> float:
-        """Mean DSC over the given classes (default: all informative ones)."""
-        if classes is None:
-            classes = [c for c, s in self.per_class.items() if s.informative]
-        vals = [self.per_class[c].dsc for c in classes if c in self.per_class]
+    def mean_dsc(self) -> float:
+        """Mean DSC over the informative classes."""
+        vals = [s.dsc for s in self.per_class.values() if s.informative]
         return float(np.mean(vals)) if vals else 1.0
 
     def to_dict(self) -> dict:
@@ -153,17 +154,14 @@ def evaluate_case(
     pred: Volume,
     gt: Volume,
     params: NsdParams | None = None,
-    classes=ORGAN_CLASSES + (TUMOR_CLASS,),
     case_id: str = "",
 ) -> MetricReport:
-    """Per-class DSC/NSD between two label maps sharing a grid."""
+    """Per-class DSC/NSD of every foreground class between two label maps
+    sharing a grid."""
     params = params or NsdParams()
-    if pred.dims != gt.dims:
-        raise VoxsegError(f"dim mismatch: pred {pred.dims} vs gt {gt.dims}")
-    if not pred.spacing.close_to(gt.spacing):
-        raise VoxsegError(f"spacing mismatch: pred {pred.spacing} vs gt {gt.spacing}")
+    check_same_grid([("pred", pred), ("gt", gt)])
     scores = {}
-    for c in classes:
+    for c in FOREGROUND_CLASSES:
         pmask = pred.data == c
         gmask = gt.data == c
         p_any = bool(pmask.any())
@@ -218,7 +216,7 @@ def aggregate_cohort(reports: list[MetricReport]) -> dict:
 def write_cohort_csv(summary: dict, path) -> None:
     """One row per class in canonical order, then Organ-Average."""
     rows = summary["per_class"]
-    name_order = [CLASS_NAMES[c] for c in ORGAN_CLASSES + (TUMOR_CLASS,)] + [ORGAN_AVERAGE_KEY]
+    name_order = [CLASS_NAMES[c] for c in FOREGROUND_CLASSES] + [ORGAN_AVERAGE_KEY]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "dsc_mean", "dsc_std", "nsd_mean", "nsd_std"])

@@ -1,8 +1,10 @@
 """Bit-exact reader/writer for a little-endian NIfTI-1 single-file subset.
 
 Supported: 3D volumes, datatypes uint8/int16/uint16/float32, data at
-offset 352, optional gzip. ``scl_slope``/``scl_inter`` are honored on
-load (slope 0 means "no scaling") and written back as (1, 0).
+offset 352, optional gzip (found by content on load, by a ``.gz`` suffix
+on save; a truncated or corrupt stream raises ``NiftiError``).
+``scl_slope``/``scl_inter`` are applied on load (slope 0 means "no
+scaling") and written back as (1, 0).
 Orientation fields are carried as opaque bytes, never interpreted.
 Compressed files are written at gzip level 1: these are scratch and
 pipeline files, and level 9 takes ~10x longer for ~5% smaller files.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,8 @@ _EXTRA_SLICE = slice(252, 344)
 
 _GZIP_MAGIC = b"\x1f\x8b"
 GZIP_LEVEL = 1
+# what a truncated or corrupt gzip stream raises while it is read
+_GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
 
 _SUFFIXES = (".nii.gz", ".nii")  # in order of preference
 
@@ -78,9 +83,12 @@ def find_nifti(directory, stem: str) -> Path | None:
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:2] == _GZIP_MAGIC:
+    if raw[:2] != _GZIP_MAGIC:
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except _GZIP_ERRORS as exc:
+        raise NiftiError(f"{path}: truncated or corrupt gzip stream: {exc}") from exc
 
 
 def _parse_header(raw: bytes, path) -> dict:
@@ -129,8 +137,11 @@ def peek_nifti(path) -> tuple[tuple[int, int, int], Spacing]:
         head = fh.read(2)
         fh.seek(0)
         if head == _GZIP_MAGIC:
-            with gzip.open(fh) as gz:
-                raw = gz.read(HEADER_SIZE)
+            try:
+                with gzip.open(fh) as gz:
+                    raw = gz.read(HEADER_SIZE)
+            except _GZIP_ERRORS as exc:
+                raise NiftiError(f"{path}: truncated or corrupt gzip stream: {exc}") from exc
         else:
             raw = fh.read(HEADER_SIZE)
     hdr = _parse_header(raw, path)
@@ -157,16 +168,14 @@ def load_nifti(path) -> Volume:
     data = flat.reshape((nx, ny, nz), order="F")
 
     slope, inter = hdr["scl"]
-    rescale = None
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         data = (data.astype(np.float32) * np.float32(slope)) + np.float32(inter)
-        rescale = (slope, inter)
     else:
         data = data.copy(order="K")
 
     if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise NiftiError(f"{path}: volume contains NaN or Inf values")
-    return Volume(data, hdr["spacing"], rescale=rescale, extra=hdr["extra"])
+    return Volume(data, hdr["spacing"], extra=hdr["extra"])
 
 
 def _build_header(vol: Volume) -> bytes:
@@ -191,16 +200,14 @@ def _build_header(vol: Volume) -> bytes:
     return bytes(hdr)
 
 
-def save_nifti(vol: Volume, path, compress: bool | None = None) -> None:
-    """Write ``vol`` to ``path``; gzip at level ``GZIP_LEVEL`` (1) when
-    ``compress`` (default: by extension).
+def save_nifti(vol: Volume, path) -> None:
+    """Write ``vol`` to ``path``, gzipped at level ``GZIP_LEVEL`` (1) when
+    ``path`` ends in ``.gz``.
 
     Output bytes are deterministic: the gzip stream carries no mtime, and
     C- and Fortran-ordered copies of one array write the same bytes.  An
     x-fastest array is written straight from its buffer.
     """
-    if compress is None:
-        compress = str(path).endswith(".gz")
     head = _build_header(vol) + b"\x00\x00\x00\x00"
     # little-endian like the header; no copy for a native array
     data = vol.data.astype(vol.data.dtype.newbyteorder("<"), copy=False)
@@ -208,7 +215,7 @@ def save_nifti(vol: Volume, path, compress: bool | None = None) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            if compress:
+            if str(path).endswith(".gz"):
                 with gzip.GzipFile(
                     filename="", mode="wb", fileobj=fh, compresslevel=GZIP_LEVEL, mtime=0
                 ) as gz:

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, SegmenterContract
+from .config import PipelineConfig
 from .errors import PipelineError, SegmenterError, VoxsegError
 from .fusion import PartialLabel, majority_vote, merge_organ_tumor, merge_partial
 from .manifest import CaseRecord, Manifest
@@ -512,28 +512,27 @@ def reduce_prob_maps(
 
 
 def _predicted_labels(
-    rec: CaseRecord, manifest: Manifest, raw_dir: Path, prob_maps: dict,
-    contract: SegmenterContract, use_tta: bool,
+    rec: CaseRecord, manifest: Manifest, raw_dir: Path, prob_maps: dict, config: PipelineConfig
 ) -> Volume:
     """Read the segmenter's output for one case, on the case image's grid,
     and reduce it to labels."""
     grid = peek_nifti(manifest.image_file(rec))
-    if contract.output_mode == "labels":
+    if config.segmenter.output_mode == "labels":
         path = find_nifti(raw_dir, rec.case_id)
         if path is None:
             raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
         return check_labelmap(_load_on_grid(path, grid))
-    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, use_tta, grid)
+    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, config.tta, grid)
 
 
 def _process_case(
-    rec: CaseRecord, manifest: Manifest, config: PipelineConfig, contract: SegmenterContract,
-    phase: str, rd: Path, prob_maps: dict, use_tta: bool,
+    rec: CaseRecord, manifest: Manifest, config: PipelineConfig, phase: str, rd: Path,
+    prob_maps: dict,
 ) -> Volume:
     """One student's fused pseudo label for ``phase``."""
     # no ground truth to overlay: a case annotated for these classes is a teacher unless held out
     classes = PHASE_CLASSES[phase]
-    labels = _predicted_labels(rec, manifest, rd / "predict_raw", prob_maps, contract, use_tta)
+    labels = _predicted_labels(rec, manifest, rd / "predict_raw", prob_maps, config)
     keep_classes = [c for c in config.keep_largest_classes if c in classes]
     if keep_classes:
         labels = keep_largest(labels, keep_classes, config.connectivity)
@@ -590,17 +589,15 @@ def _evaluate_held_out(work: Path, manifest: Manifest, config: PipelineConfig) -
 
 
 def run_phase(
-    state: PipelineState,
-    manifest: Manifest,
-    contract: SegmenterContract,
-    config: PipelineConfig,
-    phase: str,
+    state: PipelineState, manifest: Manifest, config: PipelineConfig, phase: str
 ) -> PipelineState:
-    """Execute one teacher→pseudo-label round of the given phase."""
+    """Execute one teacher→pseudo-label round of the given phase with
+    ``config.segmenter``."""
     if phase not in PHASE_CLASSES:
         raise PipelineError(f"unknown phase {phase!r}")
     if state.phase != phase:
         raise PipelineError(f"state is in phase {state.phase!r}, not {phase!r}")
+    contract = config.segmenter
     if contract is None:
         raise PipelineError("no segmenter contract configured")
     teachers = _teacher_records(manifest, config, phase)
@@ -645,9 +642,7 @@ def run_phase(
     prob_maps = index_prob_maps(rd / "predict_raw")
     summary = _run_cases(
         state, students,
-        lambda rec: _process_case(
-            rec, manifest, config, contract, phase, rd, prob_maps, use_tta
-        ),
+        lambda rec: _process_case(rec, manifest, config, phase, rd, prob_maps),
         store,
     )
     record = {
@@ -690,12 +685,13 @@ def _merge_case(work: Path, manifest: Manifest, config: PipelineConfig, rec: Cas
     merged = _own_labels(work, manifest, config, rec)
     if config.external_label_dirs:
         sources = [("own", merged)]
+        grid = (merged.dims, merged.spacing)
         for name, directory in config.external_label_dirs.items():
             path = find_nifti(directory, rec.case_id)
             if path is None:
                 log.warning("external source %s has no label for %s", name, rec.case_id)
             else:
-                sources.append((name, check_labelmap(load_nifti(path))))
+                sources.append((name, check_labelmap(_load_on_grid(path, grid))))
         if len(sources) > 1:
             merged = majority_vote(sources, config.fusion)
     if rec.label_path and rec.case_id not in set(config.eval_cases):
@@ -718,7 +714,7 @@ def run_merge(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
     return state
 
 
-def validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
+def validate_run(manifest: Manifest, config: PipelineConfig) -> None:
     """Reject a config that cannot run on ``manifest``, or a label file off
     its image's grid, before any work starts."""
     ids = {r.case_id for r in manifest.cases}
@@ -734,7 +730,7 @@ def validate_run(manifest: Manifest, config: PipelineConfig, contract) -> None:
                 f"fusion.source_priority must rank every vote source; missing {missing}"
             )
     total_rounds = sum(config.rounds(p) for p in PHASE_CLASSES)
-    if total_rounds > 0 and contract is None:
+    if total_rounds > 0 and config.segmenter is None:
         raise PipelineError("config.segmenter is required when any phase has rounds > 0")
     for rec in manifest.cases:
         if rec.label_path:
@@ -787,19 +783,13 @@ def open_state(work, config: PipelineConfig, resume: bool = True) -> PipelineSta
     return state
 
 
-def run_pipeline(
-    manifest: Manifest,
-    contract: SegmenterContract | None,
-    config: PipelineConfig,
-    work,
-    resume: bool = True,
-) -> dict:
+def run_pipeline(manifest: Manifest, config: PipelineConfig, work, resume: bool = True) -> dict:
     """Drive all configured phases to completion and write report.json.
 
     Raises PipelineError, after writing the report, when any round or the
     merge recorded a failed case.
     """
-    validate_run(manifest, config, contract)
+    validate_run(manifest, config)
     work = Path(work)
     state = open_state(work, config, resume)
 
@@ -807,7 +797,7 @@ def run_pipeline(
         if state.phase == MERGE:
             run_merge(state, manifest, config)
         else:
-            run_phase(state, manifest, contract, config, state.phase)
+            run_phase(state, manifest, config, state.phase)
 
     report = _build_report(state)
     _write_json(report, work / "report.json")

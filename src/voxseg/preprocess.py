@@ -1,10 +1,11 @@
 """CT preprocessing: intensity clipping + z-normalization and
 spacing-driven resampling.
 
-Resampling uses voxel-center alignment: output center ``i`` samples the
-input at ``(i + 0.5) * target/old - 0.5``, clamped to the grid. Images
-are interpolated linearly per axis (trilinear in-plane, linear
-through-plane); label maps take the nearest input voxel center.
+Resampling to a target ``Spacing`` uses voxel-center alignment: output
+center ``i`` samples the input at ``(i + 0.5) * target/old - 0.5``,
+clamped to the grid. Images are interpolated linearly per axis
+(trilinear in-plane, linear through-plane); label maps take the nearest
+input voxel center.
 """
 from __future__ import annotations
 
@@ -34,14 +35,6 @@ class NormalizationParams:
             raise VoxsegError(f"clip_lo {self.clip_lo} must be < clip_hi {self.clip_hi}")
         if not self.std > 0:
             raise VoxsegError(f"std must be positive, got {self.std}")
-
-
-@dataclass(frozen=True)
-class ResampleSpec:
-    """Target geometry for resampling. Images are interpolated linearly
-    along each axis, labels by nearest neighbor."""
-
-    target: Spacing
 
 
 def clip_normalize(vol: Volume, params: NormalizationParams | None = None) -> Volume:
@@ -77,31 +70,31 @@ def _interp_axis(data: np.ndarray, axis: int, coords: np.ndarray) -> np.ndarray:
     return a * (1.0 - w) + b * w
 
 
-def resample_image(vol: Volume, spec: ResampleSpec) -> Volume:
-    """Separable linear resampling of an intensity volume."""
+def resample_image(vol: Volume, target: Spacing) -> Volume:
+    """Separable linear resampling of an intensity volume to ``target``."""
     if any(n < 2 for n in vol.dims):
         raise VoxsegError(f"resampling needs >= 2 voxels per axis, got dims {vol.dims}")
     old = vol.spacing
-    out_dims = _output_dims(vol.dims, old, spec.target)
+    out_dims = _output_dims(vol.dims, old, target)
     data = vol.data.astype(np.float64)
     for axis in range(3):
-        coords = _sample_coords(out_dims[axis], vol.dims[axis], old.as_tuple()[axis], spec.target.as_tuple()[axis])
+        coords = _sample_coords(out_dims[axis], vol.dims[axis], old.as_tuple()[axis], target.as_tuple()[axis])
         data = _interp_axis(data, axis, coords)
-    return Volume(data.astype(np.float32), spec.target)
+    return Volume(data.astype(np.float32), target)
 
 
-def resample_labels(vol: Volume, spec: ResampleSpec) -> Volume:
-    """Nearest-neighbor resampling of a label map."""
+def resample_labels(vol: Volume, target: Spacing) -> Volume:
+    """Nearest-neighbor resampling of a label map to ``target``."""
     check_labelmap(vol)
     old = vol.spacing
-    out_dims = _output_dims(vol.dims, old, spec.target)
+    out_dims = _output_dims(vol.dims, old, target)
     idx = []
     for axis in range(3):
-        coords = _sample_coords(out_dims[axis], vol.dims[axis], old.as_tuple()[axis], spec.target.as_tuple()[axis])
+        coords = _sample_coords(out_dims[axis], vol.dims[axis], old.as_tuple()[axis], target.as_tuple()[axis])
         # nearest voxel center, ties round up
         idx.append(np.clip(np.floor(coords + 0.5).astype(np.int64), 0, vol.dims[axis] - 1))
     data = vol.data[np.ix_(idx[0], idx[1], idx[2])]
-    return Volume(np.ascontiguousarray(data), spec.target)
+    return Volume(np.ascontiguousarray(data), target)
 
 
 def median_spacing(spacings: list[Spacing]) -> Spacing:

@@ -32,9 +32,6 @@ CLASS_NAMES = {
 ORGAN_CLASSES = tuple(range(1, 14))
 TUMOR_CLASS = 14
 FOREGROUND_CLASSES = ORGAN_CLASSES + (TUMOR_CLASS,)
-NUM_CLASSES = 15
-
-SUPPORTED_DTYPES = (np.uint8, np.int16, np.uint16, np.float32)
 
 # how far a probability may leave [0, 1], and a voxel's sum over classes
 # may leave 1, before a probability map breaks the wire contract
@@ -65,15 +62,13 @@ class Spacing:
 class Volume:
     """A dense 3D scalar grid with physical voxel spacing.
 
-    ``data`` has shape (nx, ny, nz). ``rescale`` records the
-    (slope, intercept) applied at load time, if any. ``extra`` carries
-    the orientation fields of a loaded NIfTI header as opaque bytes;
-    they are written back on save but never interpreted.
+    ``data`` has shape (nx, ny, nz). ``extra`` carries the orientation
+    fields of a loaded NIfTI header as opaque bytes; they are written
+    back on save but never interpreted.
     """
 
     data: np.ndarray
     spacing: Spacing
-    rescale: tuple[float, float] | None = None
     extra: bytes | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -86,22 +81,19 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def elem(self) -> np.dtype:
-        return self.data.dtype
-
-    def astype(self, dtype) -> "Volume":
-        return replace(self, data=self.data.astype(dtype))
-
     def with_data(self, data: np.ndarray) -> "Volume":
         return replace(self, data=data)
 
-    def equals(self, other: "Volume", spacing_tol: float = 1e-6) -> bool:
-        return (
-            self.dims == other.dims
-            and self.spacing.close_to(other.spacing, spacing_tol)
-            and np.array_equal(self.data, other.data)
-        )
+
+def check_same_grid(named: list[tuple[str, Volume]]) -> None:
+    """Raise unless every ``(name, volume)`` has the first one's dims and,
+    within ``Spacing.close_to``, its spacing."""
+    (first, ref), *rest = named
+    for name, vol in rest:
+        if vol.dims != ref.dims:
+            raise VoxsegError(f"dim mismatch: {first} {ref.dims} vs {name} {vol.dims}")
+        if not vol.spacing.close_to(ref.spacing):
+            raise VoxsegError(f"spacing mismatch: {first} {ref.spacing} vs {name} {vol.spacing}")
 
 
 def as_binary(mask, name: str = "mask") -> np.ndarray:
@@ -130,14 +122,6 @@ def labelmap_like(values: np.ndarray, like: Volume) -> Volume:
     return check_labelmap(Volume(np.asarray(values, dtype=np.uint8), like.spacing))
 
 
-def voxel_count(vol: Volume, class_id: int) -> int:
-    """Number of voxels labeled ``class_id`` (0..14)."""
-    check_labelmap(vol)
-    if not 0 <= class_id <= TUMOR_CLASS:
-        raise VoxsegError(f"class_id {class_id} outside 0..{TUMOR_CLASS}")
-    return int(np.count_nonzero(vol.data == class_id))
-
-
 @dataclass(frozen=True)
 class ProbMap:
     """Per-class probability volumes sharing one grid.
@@ -161,11 +145,3 @@ class ProbMap:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.probs.shape[1:]
-
-    def validate(self, tol: float = PROB_TOL) -> "ProbMap":
-        if self.probs.min() < -tol or self.probs.max() > 1 + tol:
-            raise VoxsegError("probabilities outside [0, 1]")
-        sums = self.probs.sum(axis=0)
-        if np.abs(sums - 1.0).max() > tol:
-            raise VoxsegError(f"per-voxel probabilities sum to {sums.min()}..{sums.max()}, not 1")
-        return self

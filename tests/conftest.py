@@ -28,7 +28,7 @@ def completed_run(fixture_dataset, tmp_path_factory):
     manifest = load_manifest(fixture_dataset["manifest"])
     config = load_config(fixture_dataset["config"])
     start = time.perf_counter()
-    report = run_pipeline(manifest, config.segmenter, config, work)
+    report = run_pipeline(manifest, config, work)
     elapsed = time.perf_counter() - start
     return {
         "work": work,

@@ -130,6 +130,15 @@ def test_evaluate_requires_flags():
     assert main(["evaluate", "--pred", "x"]) == 2
 
 
+def test_evaluate_truncated_file_is_a_domain_error(fixture_dataset, tmp_path, capsys):
+    gt = fixture_dataset["root"] / "labels" / "case_a.nii.gz"
+    pred = tmp_path / "case_a.nii.gz"
+    pred.write_bytes(gt.read_bytes()[: gt.stat().st_size // 2])
+    assert main(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pred}: truncated or corrupt gzip stream"), err
+
+
 def test_evaluate_file_dir_mismatch(fixture_dataset, tmp_path):
     gt = fixture_dataset["root"] / "labels" / "case_a.nii.gz"
     code = main(["evaluate", "--pred", str(fixture_dataset["root"] / "labels"), "--gt", str(gt)])
@@ -314,6 +323,11 @@ def test_monitor_propagates_child_failure(capsys):
 
 def test_monitor_requires_cmd():
     assert main(["monitor"]) == 2
+
+
+def test_monitor_rejects_an_unparsable_cmd(capsys):
+    assert main(["monitor", "--cmd", "echo 'x"]) == 2
+    assert "error: cannot parse --cmd" in capsys.readouterr().err
 
 
 def test_tta_aggregate_roundtrip(tmp_path):

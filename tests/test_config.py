@@ -10,7 +10,6 @@ from voxseg.config import (
     config_from_dict,
     load_config,
     parse_overrides,
-    save_config,
 )
 from voxseg.errors import ConfigError
 from voxseg.fusion import FusionPolicy
@@ -113,6 +112,26 @@ def test_contract_validation():
         SegmenterContract("train {bogus_dir}", "predict {input_dir}")
     with pytest.raises(ConfigError, match="placeholder"):
         SegmenterContract("train {train_dir}", "predict {train_dir}")
+    # unpaired quotes or braces, which shlex.split or str.format cannot parse
+    for train, predict in (("python -c 'x", "p"), ("t", 'p "{output_dir}'), ("t {model_dir", "p")):
+        with pytest.raises(ConfigError, match="cannot parse command template"):
+            SegmenterContract(train, predict)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("fusion=abc", "bad config"),
+    ("normalization=abc", "bad config"),
+    ("tta=no", "tta must be true or false, got 'no'"),
+    ("tta=1", "tta must be true or false, got 1"),
+    ("fusion.gt_background_trust=yes", "fusion.gt_background_trust must be true or false"),
+    ("fusion.tumor_overrides_organ=0", "fusion.tumor_overrides_organ must be true or false"),
+    ("eval_cases=case_f", "eval_cases must be an array, got 'case_f'"),
+    ("keep_largest_classes=1", "keep_largest_classes must be an array, got 1"),
+    ("fusion.source_priority=own", "fusion.source_priority must be an array, got 'own'"),
+])
+def test_wrong_json_type_is_a_config_error(override, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(overrides=[override])
 
 
 def test_roundtrip_via_file(tmp_path):
@@ -123,14 +142,13 @@ def test_roundtrip_via_file(tmp_path):
         segmenter=SegmenterContract("t {model_dir}", "p {output_dir}"),
         keep_largest_classes=(1, 3),
     )
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    back = load_config(path)
-    assert back == cfg
-    # file is plain JSON with lists, not tuples
-    raw = json.loads(path.read_text())
+    raw = json.loads(json.dumps(cfg.to_dict()))
+    # plain JSON with lists, not tuples
     assert raw["eval_cases"] == ["case_f"]
     assert raw["keep_largest_classes"] == [1, 3]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert load_config(path) == cfg
 
 
 def test_parse_overrides():

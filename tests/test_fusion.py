@@ -170,6 +170,21 @@ def test_merge_organ_tumor_input_validation():
         merge_organ_tumor(_cube(1), _cube(14, dims=(3, 2, 2)))
 
 
+def test_every_fusion_rejects_a_spacing_mismatch():
+    fine = _lab(np.full((2, 2, 2), 1))
+    coarse = _lab(np.full((2, 2, 2), 14), spacing=(3, 3, 3))
+    policy = FusionPolicy(source_priority=("own", "ext"))
+    with pytest.raises(VoxsegError, match=r"spacing mismatch: own .* vs ext "):
+        majority_vote([("own", fine), ("ext", _lab(np.full((2, 2, 2), 1), spacing=(3, 3, 3)))], policy)
+    with pytest.raises(VoxsegError, match=r"spacing mismatch: organ .* vs tumor "):
+        merge_organ_tumor(fine, coarse)
+    with pytest.raises(VoxsegError, match=r"spacing mismatch: gt .* vs pseudo "):
+        merge_partial(PartialLabel(coarse, frozenset({14})), fine, policy)
+    # within Spacing.close_to is the same grid
+    near = _lab(np.full((2, 2, 2), 1), spacing=(1 + 5e-7, 1, 1))
+    assert majority_vote([("own", fine), ("ext", near)], policy).spacing == fine.spacing
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_vote_idempotent_on_identical_sources(seed, n_sources):

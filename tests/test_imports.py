@@ -1,10 +1,18 @@
-"""Every name a module of ``voxseg`` imports is used in that module."""
+"""Every name a module of ``voxseg`` imports is used in that module, and
+every public name a module defines is used somewhere in the program."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "voxseg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "voxseg"
+# the trees whose code counts as a caller; tests do not
+PROGRAM = ("src", "scripts", "perfbench")
+# public names kept with no caller in the program, each with its reason
+UNCALLED_ALLOWED = {
+    "apply_flip_prob",  # criterion 5: flipping a probability map is an involution
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -30,3 +38,49 @@ def test_scan_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _public_definitions(source: str) -> list[str]:
+    """Top-level public functions, classes and constants of a module."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def _references(source: str) -> set[str]:
+    """Names a module reads, looks up as attributes, or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _uncalled(modules: dict[str, str], callers: list[str], allowed=()) -> list[str]:
+    used = set(allowed).union(*map(_references, callers))
+    return [f"{name}: {n}" for name, source in modules.items()
+            for n in _public_definitions(source) if n not in used]
+
+
+def test_scan_finds_an_uncalled_name():
+    module = "LIMIT = 3\ndef used():\n    return LIMIT\ndef spare():\n    pass\n"
+    assert _uncalled({"m.py": module}, [module, "from m import used\n"]) == ["m.py: spare"]
+
+
+def test_every_public_name_has_a_caller():
+    # __init__.py only re-exports, so its imports are not callers
+    callers = [p.read_text() for tree in PROGRAM for p in sorted((ROOT / tree).rglob("*.py"))
+               if p != SRC / "__init__.py"]
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    uncalled = _uncalled(modules, callers, UNCALLED_ALLOWED)
+    assert not uncalled, "no caller in src/, scripts/ or perfbench/: " + ", ".join(uncalled)

@@ -192,7 +192,6 @@ def test_organ_average_skips_uninformative_and_tumor():
     assert report.organ_average_dsc == 0.5
     assert report.organ_average_nsd == 0.5
     assert report.mean_dsc() == 0.25  # informative classes: 1 and 14
-    assert report.mean_dsc(classes=[14]) == 0.0
 
 
 def test_aggregate_cohort_stats():

@@ -76,7 +76,8 @@ def test_predict_volume_probabilities_sum_to_one(tmp_path):
     model = train(tmp_path / "img", tmp_path / "lab", tmp_path / "model")
     image = load_nifti(tmp_path / "img" / "a.nii.gz")
     prob = predict_volume(model, image)
-    prob.validate()
+    assert prob.probs.min() >= 0 and prob.probs.max() <= 1
+    assert np.abs(prob.probs.sum(axis=0) - 1).max() < 1e-4
     assert prob.classes == (0, 5, 14)
 
 

@@ -5,6 +5,7 @@ import shutil
 import sys
 from pathlib import Path
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,13 +260,13 @@ def test_prob_map_contract_violation_fails_that_case_alone(fixture_dataset, tmp_
         "vol = nifti.load_nifti(path)\n"
         "nifti.save_nifti(vol.with_data(vol.data * 0.5), path)\n"
     )
-    contract = SegmenterContract(
+    config = replace(config, segmenter=SegmenterContract(
         train_cmd=config.segmenter.train_cmd,
         predict_cmd=f"{EXE} {script} {{model_dir}} {{input_dir}} {{output_dir}}",
         output_mode="probabilities",
-    )
+    ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, contract, config, "tumor")
+    run_phase(state, manifest, config, "tumor")
     record = state.history[-1]
     assert record["failed"] == ["case_d"]
     assert record["fused"] == 3
@@ -273,16 +274,41 @@ def test_prob_map_contract_violation_fails_that_case_alone(fixture_dataset, tmp_
     assert "probability maps for 'case_d' sum to" in record["errors"]["case_d"]
 
 
+def test_truncated_prob_map_fails_that_case_alone(fixture_dataset, tmp_path):
+    manifest, config = _load(fixture_dataset)
+    # the mock segmenter, then one flip of case_e cut to half its length
+    script = tmp_path / "predict.py"
+    script.write_text(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from voxseg import mock_segmenter\n"
+        "model, inp, out = sys.argv[1:]\n"
+        "mock_segmenter.predict(model, inp, out)\n"
+        "path = Path(out) / 'case_e__tta5_prob_0.nii.gz'\n"
+        "path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])\n"
+    )
+    config = replace(config, segmenter=SegmenterContract(
+        train_cmd=config.segmenter.train_cmd,
+        predict_cmd=f"{EXE} {script} {{model_dir}} {{input_dir}} {{output_dir}}",
+    ))
+    state = PipelineState.fresh(tmp_path / "state.json", config)
+    run_phase(state, manifest, config, "tumor")
+    record = state.history[-1]
+    assert record["failed"] == ["case_e"]
+    assert record["fused"] == 3
+    assert "case_e__tta5_prob_0.nii.gz: truncated or corrupt gzip stream" in record["errors"]["case_e"]
+
+
 def test_missing_predict_dir_fails_cases_but_round_continues(fixture_dataset, tmp_path, caplog):
     manifest, config = _load(fixture_dataset)
     # exits 0 after deleting its output directory
-    contract = SegmenterContract(
+    config = replace(config, segmenter=SegmenterContract(
         train_cmd=f"{EXE} -c pass",
         predict_cmd=f'{EXE} -c "import shutil, sys; shutil.rmtree(sys.argv[1])" {{output_dir}}',
         output_mode="probabilities",
-    )
+    ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, contract, config, "tumor")
+    run_phase(state, manifest, config, "tumor")
     assert not (tmp_path / "rounds" / "tumor_r0" / "predict_raw").exists()
     assert state.round == 1
     assert state.history[-1]["failed"] == ["case_c", "case_d", "case_e", "case_f"]
@@ -301,7 +327,7 @@ def test_predict_raw_listed_once_per_round(fixture_dataset, tmp_path, monkeypatc
         return real_listdir(path)
 
     monkeypatch.setattr(pipeline.os, "listdir", counting_listdir)
-    run_pipeline(manifest, config.segmenter, config, tmp_path / "work")
+    run_pipeline(manifest, config, tmp_path / "work")
     assert sorted(listed) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
 
 
@@ -322,7 +348,7 @@ def test_tta_reduction_loads_one_channel_at_a_time_class_major(
 
     monkeypatch.setattr(pipeline, "load_nifti", tracking_load)
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config.segmenter, config, "tumor")
+    run_phase(state, manifest, config, "tumor")
     assert state.history[-1]["failed"] == []
     # all flips of class 0, then all flips of class 14
     assert [name for name, _ in loaded[:16]] == [
@@ -335,11 +361,11 @@ def test_run_phase_guards(fixture_dataset, tmp_path):
     manifest, config = _load(fixture_dataset)
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(PipelineError, match="unknown phase"):
-        run_phase(state, manifest, config.segmenter, config, "bone")
+        run_phase(state, manifest, config, "bone")
     with pytest.raises(PipelineError, match="not 'organ'"):
-        run_phase(state, manifest, config.segmenter, config, "organ")
+        run_phase(state, manifest, config, "organ")
     with pytest.raises(PipelineError, match="no segmenter contract"):
-        run_phase(state, manifest, None, config, "tumor")
+        run_phase(state, manifest, replace(config, segmenter=None), "tumor")
 
 
 def test_run_phase_requires_teachers(fixture_dataset, tmp_path):
@@ -351,21 +377,21 @@ def test_run_phase_requires_teachers(fixture_dataset, tmp_path):
     )
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(PipelineError, match="no teacher cases"):
-        run_phase(state, manifest, config.segmenter, config, "tumor")
+        run_phase(state, manifest, config, "tumor")
     # nothing was staged or run
     assert not (tmp_path / "rounds").exists()
 
 
 def test_nonzero_exit_aborts_round_with_state_intact(fixture_dataset, tmp_path):
     manifest, config = _load(fixture_dataset)
-    contract = SegmenterContract(
+    config = replace(config, segmenter=SegmenterContract(
         train_cmd=f'{EXE} -c "raise SystemExit(3)"',
         predict_cmd=f"{EXE} -c pass",
         output_mode="labels",
-    )
+    ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(SegmenterError, match="exited with 3"):
-        run_phase(state, manifest, contract, config, "tumor")
+        run_phase(state, manifest, config, "tumor")
     ondisk = PipelineState.load(tmp_path / "state.json")
     assert ondisk.phase == "tumor" and ondisk.round == 0
     assert not ondisk.stage("trained") and ondisk.cases == {}
@@ -375,26 +401,26 @@ def test_nonzero_exit_aborts_round_with_state_intact(fixture_dataset, tmp_path):
 
 def test_unlaunchable_command_raises(fixture_dataset, tmp_path):
     manifest, config = _load(fixture_dataset)
-    contract = SegmenterContract(
+    config = replace(config, segmenter=SegmenterContract(
         train_cmd="/nonexistent/segmenter-binary",
         predict_cmd=f"{EXE} -c pass",
         output_mode="labels",
-    )
+    ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(SegmenterError, match="cannot launch"):
-        run_phase(state, manifest, contract, config, "tumor")
+        run_phase(state, manifest, config, "tumor")
 
 
 def test_missing_outputs_fail_cases_but_round_continues(fixture_dataset, tmp_path):
     manifest, config = _load(fixture_dataset)
     # exits 0 without writing anything: every student must fail cleanly
-    contract = SegmenterContract(
+    config = replace(config, segmenter=SegmenterContract(
         train_cmd=f"{EXE} -c pass",
         predict_cmd=f"{EXE} -c pass",
         output_mode="labels",
-    )
+    ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, contract, config, "tumor")
+    run_phase(state, manifest, config, "tumor")
     assert state.round == 1  # the round completed
     record = state.history[-1]
     assert record["fused"] == 0
@@ -481,38 +507,33 @@ def test_full_run_per_round_eval_files(completed_run):
 
 
 def test_rerun_is_a_noop(completed_run):
-    report = run_pipeline(
-        completed_run["manifest"],
-        completed_run["config"].segmenter,
-        completed_run["config"],
-        completed_run["work"],
-    )
+    report = run_pipeline(completed_run["manifest"], completed_run["config"], completed_run["work"])
     assert report == completed_run["report"]
 
 
 def test_resume_rejects_changed_config(completed_run):
     other = load_config(completed_run["dataset"]["config"], overrides=["nsd_tau=2.0"])
     with pytest.raises(PipelineError, match="different config"):
-        run_pipeline(completed_run["manifest"], other.segmenter, other, completed_run["work"])
+        run_pipeline(completed_run["manifest"], other, completed_run["work"])
 
 
 def test_validate_run_guards(fixture_dataset, tmp_path):
     manifest, _ = _load(fixture_dataset)
     bad_eval = load_config(fixture_dataset["config"], overrides=['eval_cases=["ghost"]'])
     with pytest.raises(PipelineError, match="not in the manifest"):
-        run_pipeline(manifest, bad_eval.segmenter, bad_eval, tmp_path / "w1")
+        run_pipeline(manifest, bad_eval, tmp_path / "w1")
     unlabeled_eval = load_config(fixture_dataset["config"], overrides=['eval_cases=["case_d"]'])
     with pytest.raises(PipelineError, match="no ground-truth label"):
-        run_pipeline(manifest, unlabeled_eval.segmenter, unlabeled_eval, tmp_path / "w2")
+        run_pipeline(manifest, unlabeled_eval, tmp_path / "w2")
     no_contract = load_config(fixture_dataset["config"], overrides=["segmenter=null"])
     with pytest.raises(PipelineError, match="segmenter is required"):
-        run_pipeline(manifest, None, no_contract, tmp_path / "w3")
+        run_pipeline(manifest, no_contract, tmp_path / "w3")
     ext = load_config(
         fixture_dataset["config"],
         overrides=['external_label_dirs={"ext": "/tmp/x"}'],
     )
     with pytest.raises(PipelineError, match="source_priority"):
-        run_pipeline(manifest, ext.segmenter, ext, tmp_path / "w4")
+        run_pipeline(manifest, ext, tmp_path / "w4")
 
 
 def _degenerate_config(paths, *extra):
@@ -525,7 +546,7 @@ def _degenerate_config(paths, *extra):
 def test_degenerate_run_uses_only_ground_truth(fixture_dataset, tmp_path):
     manifest, _ = _load(fixture_dataset)
     config = _degenerate_config(fixture_dataset)
-    report = run_pipeline(manifest, None, config, tmp_path / "work")
+    report = run_pipeline(manifest, config, tmp_path / "work")
     assert [h["phase"] for h in report["history"]] == [MERGE]
 
     final = tmp_path / "work" / "final"
@@ -550,7 +571,7 @@ def test_external_sources_respect_priority(fixture_dataset, tmp_path):
         f'external_label_dirs={{"ext": "{ext_dir}"}}',
         'fusion.source_priority=["ext","own"]',
     )
-    run_pipeline(manifest, None, ext_first, tmp_path / "w1")
+    run_pipeline(manifest, ext_first, tmp_path / "w1")
     got = load_nifti(tmp_path / "w1" / "final" / "case_d.nii.gz")
     assert np.array_equal(got.data, claim.data)
 
@@ -559,7 +580,7 @@ def test_external_sources_respect_priority(fixture_dataset, tmp_path):
         f'external_label_dirs={{"ext": "{ext_dir}"}}',
         'fusion.source_priority=["own","ext"]',
     )
-    run_pipeline(manifest, None, own_first, tmp_path / "w2")
+    run_pipeline(manifest, own_first, tmp_path / "w2")
     got = load_nifti(tmp_path / "w2" / "final" / "case_d.nii.gz")
     assert not got.data.any()
     # ground truth still wins over any vote outcome
@@ -578,7 +599,7 @@ def test_merge_reads_each_ground_truth_once(fixture_dataset, tmp_path, monkeypat
         return real_load(path)
 
     monkeypatch.setattr(pipeline, "load_nifti", counting_load)
-    report = run_pipeline(manifest, None, config, tmp_path / "work")
+    report = run_pipeline(manifest, config, tmp_path / "work")
     assert [h["phase"] for h in report["history"]] == [MERGE]  # rounds 0/0: all loads are the merge's
     gt_loads = {r.case_id: loads.get(str(manifest.label_file(r)), 0)
                 for r in manifest.cases if r.label_path}
@@ -615,7 +636,7 @@ def test_ground_truth_overrides_external_votes(fixture_dataset, tmp_path, trust)
         'fusion.source_priority=["own","e1","e2"]',
         f"fusion.gt_background_trust={str(trust).lower()}",
     )
-    run_pipeline(manifest, None, config, tmp_path / "work")
+    run_pipeline(manifest, config, tmp_path / "work")
 
     want = gt.copy()
     want[blob_slices(14)] = 14
@@ -635,13 +656,15 @@ def test_merge_failure_is_recorded_and_others_finish(fixture_dataset, tmp_path):
         'fusion.source_priority=["own","ext"]',
     )
     with pytest.raises(PipelineError, match=r"merge: case_d$"):
-        run_pipeline(manifest, None, config, tmp_path / "work")
+        run_pipeline(manifest, config, tmp_path / "work")
 
     # the report is written before the error is raised
     report = json.loads((tmp_path / "work" / "report.json").read_text())
     entry = PipelineState.load(tmp_path / "work" / "state.json").case_entry("case_d")
     assert entry["status"] == "failed"
-    assert "dim mismatch" in entry["error"]
+    # the external map is read on the case's own grid, and the error names its file
+    assert entry["error"].startswith("case_d.nii.gz: grid (2, 2, 2) at (1.0, 1.0, 1.0) mm"), entry["error"]
+    assert "does not match the image's (24, 24, 16)" in entry["error"]
     merge = report["history"][-1]
     assert merge["failed"] == ["case_d"]
     assert merge["fused"] == 5
@@ -651,11 +674,29 @@ def test_merge_failure_is_recorded_and_others_finish(fixture_dataset, tmp_path):
     assert np.array_equal(load_nifti(final / "case_a.nii.gz").data, make_label((1, 3, 5, 14)).data)
 
 
+def test_external_map_on_another_spacing_fails_that_case(fixture_dataset, tmp_path):
+    manifest, _ = _load(fixture_dataset)
+    ext_dir = tmp_path / "ext"
+    ext_dir.mkdir()
+    # the image's dims, but 3 mm voxels instead of the fixture's
+    save_nifti(Volume(make_label((14,)).data, Spacing(3, 3, 3)), ext_dir / "case_d.nii.gz")
+    config = _degenerate_config(
+        fixture_dataset,
+        f'external_label_dirs={{"ext": "{ext_dir}"}}',
+        'fusion.source_priority=["ext","own"]',
+    )
+    with pytest.raises(PipelineError, match=r"merge: case_d$"):
+        run_pipeline(manifest, config, tmp_path / "work")
+    error = PipelineState.load(tmp_path / "work" / "state.json").case_entry("case_d")["error"]
+    assert error.startswith("case_d.nii.gz: grid (24, 24, 16) at (3.0, 3.0, 3.0) mm"), error
+    assert not (tmp_path / "work" / "final" / "case_d.nii.gz").exists()
+
+
 def test_merge_digest_skip_and_redo(fixture_dataset, tmp_path):
     manifest, _ = _load(fixture_dataset)
     config = _degenerate_config(fixture_dataset)
     work = tmp_path / "work"
-    run_pipeline(manifest, None, config, work)
+    run_pipeline(manifest, config, work)
 
     final = work / "final"
     pristine = (final / "case_a.nii.gz").read_bytes()
@@ -685,7 +726,7 @@ def test_round_digest_skip_and_redo(fixture_dataset, tmp_path, monkeypatch):
     monkeypatch.setenv(CRASH_ENV, "7")
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Killed):
-        run_phase(state, manifest, config.segmenter, config, "tumor")
+        run_phase(state, manifest, config, "tumor")
     monkeypatch.delenv(CRASH_ENV)
 
     store = tmp_path / "pseudo_tumor"
@@ -694,7 +735,7 @@ def test_round_digest_skip_and_redo(fixture_dataset, tmp_path, monkeypatch):
     save_nifti(make_label(()), store / "case_c.nii.gz")  # altered after its journal entry
     state = PipelineState.load(tmp_path / "state.json")
     assert sorted(state.cases) == ["case_c", "case_d", "case_e", "case_f"]
-    run_phase(state, manifest, config.segmenter, config, "tumor")
+    run_phase(state, manifest, config, "tumor")
 
     assert (store / "case_c.nii.gz").read_bytes() == pristine  # redone
     for cid, mtime in others.items():
@@ -732,13 +773,13 @@ def test_resume_after_the_last_tumor_round(completed_run, tmp_path, monkeypatch)
     monkeypatch.setenv(CRASH_ENV, "15")
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Killed):
-        run_pipeline(manifest, config.segmenter, config, work)
+        run_pipeline(manifest, config, work)
     monkeypatch.delenv(CRASH_ENV)
 
     state = PipelineState.load(work / "state.json")
     assert (state.phase, state.round) == ("organ", 0)
     assert [(h["phase"], h["round"]) for h in state.history] == [("tumor", 0), ("tumor", 1)]
-    report = run_pipeline(manifest, config.segmenter, config, work)
+    report = run_pipeline(manifest, config, work)
     assert report["history"] == completed_run["report"]["history"]
     for cid in [f"case_{s}" for s in "abcdef"]:
         got = (work / "final" / f"{cid}.nii.gz").read_bytes()
@@ -787,7 +828,7 @@ def test_label_off_its_image_grid_is_rejected_before_work(fixture_dataset, tmp_p
     image = r"\(24, 24, 16\) at \(1.0, 1.0, 2.5\)"
     message = rf"case 'case_a': label grid {grid} mm does not match the image's {image} mm"
     with pytest.raises(PipelineError, match=message):
-        run_pipeline(manifest, config.segmenter, config, work)
+        run_pipeline(manifest, config, work)
     assert not work.exists()
 
 
@@ -806,7 +847,7 @@ def test_labels_mode_contract(fixture_dataset, tmp_path):
             "rounds_organ=2",
         ],
     )
-    report = run_pipeline(manifest, config.segmenter, config, tmp_path / "work")
+    report = run_pipeline(manifest, config, tmp_path / "work")
     scores = [h["eval"]["mean_dsc"] for h in report["history"][:4]]
     assert scores[-1] == 1.0
     want = make_label((1, 3, 5, 14)).data
@@ -838,7 +879,7 @@ def test_labels_mode_map_off_the_image_grid_fails_that_case(fixture_dataset, tmp
     )
     work = tmp_path / "work"
     with pytest.raises(PipelineError, match=r"tumor round 0: case_c, case_d, case_e, case_f$"):
-        run_pipeline(manifest, config.segmenter, config, work)
+        run_pipeline(manifest, config, work)
 
     # the report is written before the error is raised
     report = json.loads((work / "report.json").read_text())

@@ -10,7 +10,6 @@ from voxseg.preprocess import (
     DEFAULT_MEAN,
     DEFAULT_STD,
     NormalizationParams,
-    ResampleSpec,
     clip_normalize,
     median_spacing,
     resample_image,
@@ -78,14 +77,14 @@ def test_output_dims_round_half_up():
 def test_resample_identity_spacing_is_noop():
     rng = np.random.default_rng(0)
     vol = _vol(rng.normal(size=(5, 6, 7)).astype(np.float32), (1.2, 0.8, 2.5))
-    out = resample_image(vol, ResampleSpec(vol.spacing))
+    out = resample_image(vol, vol.spacing)
     assert out.dims == vol.dims
     assert np.allclose(out.data, vol.data, atol=1e-6)
 
 
 def test_resample_constant_volume_stays_constant():
     vol = _vol(np.full((4, 5, 6), 3.25, dtype=np.float32), (1.0, 1.0, 2.0))
-    out = resample_image(vol, ResampleSpec(Spacing(0.7, 1.3, 0.9)))
+    out = resample_image(vol, Spacing(0.7, 1.3, 0.9))
     assert np.allclose(out.data, 3.25, atol=1e-6)
 
 
@@ -104,7 +103,7 @@ def test_resample_matches_trilinear_oracle():
         old = Spacing(*np.round(rng.uniform(0.5, 3.0, size=3), 3))
         target = Spacing(*np.round(rng.uniform(0.5, 3.0, size=3), 3))
         vol = Volume(rng.normal(size=dims).astype(np.float32), old)
-        got = resample_image(vol, ResampleSpec(target))
+        got = resample_image(vol, target)
         assert got.dims == output_dims_ref(dims, old.as_tuple(), target.as_tuple())
         want = trilinear_ref(vol.data, *_oracle_coords(dims, old, target))
         assert np.allclose(got.data, want, atol=1e-5)
@@ -117,7 +116,7 @@ def test_resample_labels_matches_nearest_oracle():
         old = Spacing(*np.round(rng.uniform(0.5, 3.0, size=3), 3))
         target = Spacing(*np.round(rng.uniform(0.5, 3.0, size=3), 3))
         data = rng.integers(0, 15, size=dims).astype(np.uint8)
-        got = resample_labels(Volume(data, old), ResampleSpec(target))
+        got = resample_labels(Volume(data, old), target)
         want = nearest_ref(data, *_oracle_coords(dims, old, target))
         assert np.array_equal(got.data, want)
         assert got.data.dtype == np.uint8
@@ -126,14 +125,14 @@ def test_resample_labels_matches_nearest_oracle():
 def test_resample_labels_preserves_label_set():
     rng = np.random.default_rng(44)
     data = rng.integers(0, 15, size=(6, 6, 6)).astype(np.uint8)
-    out = resample_labels(Volume(data, Spacing(1, 1, 1)), ResampleSpec(Spacing(0.5, 0.5, 0.5)))
+    out = resample_labels(Volume(data, Spacing(1, 1, 1)), Spacing(0.5, 0.5, 0.5))
     assert set(np.unique(out.data)) <= set(np.unique(data))
 
 
 def test_resample_image_rejects_single_voxel_axis():
     vol = _vol(np.zeros((1, 4, 4), dtype=np.float32))
     with pytest.raises(VoxsegError):
-        resample_image(vol, ResampleSpec(Spacing(2, 2, 2)))
+        resample_image(vol, Spacing(2, 2, 2))
 
 
 def test_median_spacing_lower_median():
