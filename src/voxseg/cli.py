@@ -281,6 +281,8 @@ def cmd_monitor(args) -> int:
         argv = shlex.split(args.cmd)
     except ValueError as exc:  # e.g. an unpaired quote
         raise _UsageError(f"cannot parse --cmd {args.cmd!r}: {exc}") from exc
+    if not argv:
+        raise _UsageError("--cmd names no command")
     returncode, trace = sample_run(argv, probe=args.probe, period_s=args.period)
     runtime = trace.samples[-1][0]
     report = efficiency_report(trace, runtime, args.floor)

@@ -6,11 +6,14 @@ into the pipeline state for reproducibility.
 from __future__ import annotations
 
 import json
+import math
 import shlex
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, VoxsegError
 from .fusion import FusionPolicy
 from .metrics import NsdParams
 from .preprocess import NormalizationParams
@@ -23,9 +26,10 @@ class SegmenterContract:
 
     ``train_cmd`` may use {train_dir}, {label_dir}, {model_dir};
     ``predict_cmd`` may use {model_dir}, {input_dir}, {output_dir}.
-    A template is split into arguments by shell quoting rules and run
-    without a shell. Commands must exit 0 on success; predict writes one
-    output per input case (``<case>.nii.gz`` or ``<case>_prob_<class>.nii.gz``).
+    A template is split into arguments by shell quoting rules, must name a
+    command, and is run without a shell. Commands must exit 0 on success;
+    predict writes one output per input case (``<case>.nii.gz`` or
+    ``<case>_prob_<class>.nii.gz``).
     """
 
     train_cmd: str
@@ -39,14 +43,15 @@ class SegmenterContract:
             (self.train_cmd, {"train_dir", "label_dir", "model_dir"}),
             (self.predict_cmd, {"model_dir", "input_dir", "output_dir"}),
         ):
-            if not isinstance(tmpl, str):
-                raise ConfigError(f"segmenter command template must be a string, got {tmpl!r}")
             try:
-                shlex.split(tmpl.format(**{k: "" for k in allowed}))
+                # a filled placeholder is one word, so "{model_dir}" alone names a command
+                words = shlex.split(tmpl.format(**{k: k for k in allowed}))
             except (KeyError, IndexError) as exc:
                 raise ConfigError(f"bad placeholder in command template {tmpl!r}: {exc}") from exc
             except ValueError as exc:  # an unpaired brace or quote
                 raise ConfigError(f"cannot parse command template {tmpl!r}: {exc}") from exc
+            if not words:
+                raise ConfigError(f"command template {tmpl!r} names no command")
 
 
 @dataclass(frozen=True)
@@ -78,11 +83,7 @@ class PipelineConfig:
         return NsdParams(tau=self.nsd_tau)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["fusion"]["source_priority"] = list(self.fusion.source_priority)
-        d["keep_largest_classes"] = list(self.keep_largest_classes)
-        d["eval_cases"] = list(self.eval_cases)
-        return d
+        return json.loads(json.dumps(asdict(self)))
 
 
 def _set_dotted(tree: dict, key: str, value) -> None:
@@ -123,48 +124,48 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-# dotted keys whose JSON value must be a boolean, and those that must be an array
-_BOOL_KEYS = ("tta", "fusion.tumor_overrides_organ", "fusion.gt_background_trust")
-_LIST_KEYS = ("keep_largest_classes", "eval_cases", "fusion.source_priority")
+# the JSON value types each scalar field accepts; a bool is not a number
+_SCALARS = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
+            float: ("a finite number", (int, float)), str: ("a string", (str,))}
 
 
-def _check_json_types(raw: dict) -> None:
-    for keys, kind, what in ((_BOOL_KEYS, bool, "true or false"), (_LIST_KEYS, list, "an array")):
-        for key in keys:
-            section, _, leaf = key.rpartition(".")
-            node = raw.get(section) if section else raw
-            if isinstance(node, dict) and leaf in node and not isinstance(node[leaf], kind):
-                raise ConfigError(f"{key} must be {what}, got {node[leaf]!r}")
+def _read(kind, value, key: str):
+    """Build a value of the annotated type ``kind`` from the JSON ``value``;
+    ``key`` is its dotted name in errors. A dataclass is a section: a JSON
+    object whose keys are its fields."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType and args[1:] == (type(None),):  # X | None
+        return None if value is None else _read(args[0], value, key)
+    if kind in _SCALARS:
+        what, json_types = _SCALARS[kind]
+    elif origin is tuple and args[1:] == (...,):
+        what, json_types = "an array", (list,)
+    elif is_dataclass(kind) or origin is dict and args[0] is str:
+        what, json_types = "an object", (dict,)
+    else:
+        raise TypeError(f"the config loader cannot read a {kind!r} field ({key})")
+    if type(value) not in json_types or type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"bad config: {key} must be {what}, got {value!r}")
+    if origin is tuple:
+        return tuple(_read(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        return {k: _read(args[1], v, f"{key}.{k}") for k, v in value.items()}
+    if not is_dataclass(kind):
+        return value
+    hints = typing.get_type_hints(kind)
+    prefix = f"{key}." if key else ""
+    unknown = [prefix + k for k in value if k not in hints]
+    if unknown:
+        raise ConfigError(f"bad config: unknown config keys: {unknown}")
+    kwargs = {k: _read(hints[k], v, prefix + k) for k, v in value.items()}
+    try:
+        return kind(**kwargs)
+    except (TypeError, VoxsegError) as exc:  # a required key is missing, or a range check failed
+        raise ConfigError(f"bad config: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    _check_json_types(raw)
-    raw = dict(raw)
-    kwargs = {}
-    try:
-        if "normalization" in raw:
-            kwargs["normalization"] = NormalizationParams(**raw.pop("normalization"))
-        if "fusion" in raw:
-            f = dict(raw.pop("fusion"))
-            if "source_priority" in f:
-                f["source_priority"] = tuple(f["source_priority"])
-            kwargs["fusion"] = FusionPolicy(**f)
-        if "segmenter" in raw:
-            seg = raw.pop("segmenter")
-            kwargs["segmenter"] = SegmenterContract(**seg) if seg else None
-        for key in ("keep_largest_classes", "eval_cases"):
-            if key in raw:
-                kwargs[key] = tuple(raw.pop(key))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-    known = PipelineConfig.__dataclass_fields__
-    unknown = [k for k in raw if k not in known]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    try:
-        return PipelineConfig(**kwargs, **raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return _read(PipelineConfig, raw, "")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> PipelineConfig:

@@ -124,18 +124,16 @@ def load_manifest(path, root=None) -> Manifest:
             raise ManifestError(
                 f"case {entry.get('case_id')!r}: annotated_classes required for status {status!r}"
             )
-        try:
-            classes = frozenset(int(c) for c in classes)
-        except (TypeError, ValueError) as exc:
+        if not isinstance(classes, (list, frozenset)) or any(type(c) is not int for c in classes):
             raise ManifestError(
                 f"case {entry.get('case_id')!r}: annotated_classes must be class ids, got {classes!r}"
-            ) from exc
+            )
         rec = CaseRecord(
             case_id=entry.get("case_id", ""),
             image_path=entry.get("image_path", ""),
             label_path=entry.get("label_path"),
             annotation_status=status,
-            annotated_classes=classes,
+            annotated_classes=frozenset(classes),
         )
         if not (root / rec.image_path).is_file():
             raise ManifestError(f"case {rec.case_id}: missing image {root / rec.image_path}")

@@ -12,7 +12,7 @@ import resource
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import VoxsegError
 
@@ -50,14 +50,6 @@ class EfficiencyReport:
     runtime_over_tolerance_s: float
     mem_auc_gb_s: float
     peak_mem_gb: float
-
-    def to_dict(self) -> dict:
-        return {
-            "runtime_s": self.runtime_s,
-            "runtime_over_tolerance_s": self.runtime_over_tolerance_s,
-            "mem_auc_gb_s": self.mem_auc_gb_s,
-            "peak_mem_gb": self.peak_mem_gb,
-        }
 
 
 def _read_self_rss(pid: int) -> int:
@@ -163,5 +155,5 @@ def efficiency_report(
 
 def write_report(report: EfficiencyReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2)
         fh.write("\n")

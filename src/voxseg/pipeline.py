@@ -729,6 +729,9 @@ def validate_run(manifest: Manifest, config: PipelineConfig) -> None:
             raise PipelineError(
                 f"fusion.source_priority must rank every vote source; missing {missing}"
             )
+        for name, directory in config.external_label_dirs.items():
+            if not Path(directory).is_dir():
+                raise PipelineError(f"external source {name!r}: {directory} is not a directory")
     total_rounds = sum(config.rounds(p) for p in PHASE_CLASSES)
     if total_rounds > 0 and config.segmenter is None:
         raise PipelineError("config.segmenter is required when any phase has rounds > 0")
@@ -774,7 +777,7 @@ def open_state(work, config: PipelineConfig, resume: bool = True) -> PipelineSta
     if not (resume and state_path.exists()):
         return PipelineState.fresh(state_path, config)
     state = PipelineState.load(state_path)
-    if state.config_snapshot != json.loads(json.dumps(config.to_dict())):
+    if state.config_snapshot != config.to_dict():
         raise PipelineError(
             f"{state_path} was created with a different config; "
             "pass a fresh work directory or the original config"

@@ -330,6 +330,12 @@ def test_monitor_rejects_an_unparsable_cmd(capsys):
     assert "error: cannot parse --cmd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["", "   "])
+def test_monitor_rejects_an_empty_cmd(capsys, cmd):
+    assert main(["monitor", "--cmd", cmd]) == 2
+    assert "error: --cmd names no command" in capsys.readouterr().err
+
+
 def test_tta_aggregate_roundtrip(tmp_path):
     rng = np.random.default_rng(21)
     dims = (3, 4, 5)
@@ -543,7 +549,7 @@ def test_non_string_command_template_is_config_error(fixture_dataset, tmp_path, 
         "--set", "segmenter.predict_cmd=true",  # a JSON bool, not the command "true"
     ])
     assert code == 1
-    assert "error: segmenter command template must be a string, got True" in capsys.readouterr().err
+    assert "segmenter.predict_cmd must be a string, got True" in capsys.readouterr().err
 
 
 def test_phase_cli_refuses_work_from_other_config(fixture_dataset, tmp_path, capsys):

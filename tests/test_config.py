@@ -1,5 +1,7 @@
 import json
 import re
+import typing
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from voxseg.config import (
     PipelineConfig,
     SegmenterContract,
+    _read,
     config_from_dict,
     load_config,
     parse_overrides,
@@ -116,6 +119,11 @@ def test_contract_validation():
     for train, predict in (("python -c 'x", "p"), ("t", 'p "{output_dir}'), ("t {model_dir", "p")):
         with pytest.raises(ConfigError, match="cannot parse command template"):
             SegmenterContract(train, predict)
+    # a template must name a command once its placeholders are filled
+    for train, predict in (("", "p"), ("t", "   ")):
+        with pytest.raises(ConfigError, match="names no command"):
+            SegmenterContract(train, predict)
+    assert SegmenterContract("{model_dir}", "{output_dir}").train_cmd == "{model_dir}"
 
 
 @pytest.mark.parametrize("override, message", [
@@ -132,6 +140,76 @@ def test_contract_validation():
 def test_wrong_json_type_is_a_config_error(override, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(overrides=[override])
+
+
+# one value of the wrong JSON kind for every key in CONFIG_SURFACE
+WRONG_KINDS = [
+    ("normalization.clip_lo", "low"),
+    ("normalization.clip_hi", "true"),
+    ("normalization.mean", '"x"'),
+    ("normalization.std", "[1]"),
+    ("fusion.gt_background_trust", "yes"),
+    ("fusion.tumor_overrides_organ", "0"),
+    ("fusion.min_votes", "true"),
+    ("fusion.source_priority", "[1]"),
+    ("nsd_tau", "true"),
+    ("nsd_tau", "Infinity"),
+    ("tta", "null"),
+    ("connectivity", "26.0"),
+    ("keep_largest_classes", '["a"]'),
+    ("rounds_tumor", '"2"'),
+    ("rounds_organ", "1.5"),
+    ("eval_cases", "[1]"),
+    ("external_label_dirs", "abc"),
+    ("segmenter.train_cmd", "7"),
+    ("segmenter.predict_cmd", "true"),
+    ("segmenter.output_mode", '["labels"]'),
+]
+
+
+def test_wrong_kind_table_covers_every_key():
+    assert {key for key, _ in WRONG_KINDS} == CONFIG_SURFACE
+
+
+@pytest.mark.parametrize("key, value", WRONG_KINDS)
+def test_every_key_rejects_a_wrong_kind(key, value):
+    segmenter = 'segmenter={"train_cmd": "t", "predict_cmd": "p"}'
+    with pytest.raises(ConfigError, match=rf"^bad config: {re.escape(key)}\b"):
+        load_config(overrides=[segmenter, f"{key}={value}"])
+
+
+def _annotations(kind):
+    """``kind``, the field annotations of a section, and the types inside
+    each ``X | None``, ``tuple[X, ...]`` and ``dict[str, X]``."""
+    yield kind
+    if is_dataclass(kind):
+        for field_kind in typing.get_type_hints(kind).values():
+            yield from _annotations(field_kind)
+    for arg in typing.get_args(kind):
+        if arg not in (..., type(None)):
+            yield from _annotations(arg)
+
+
+def test_loader_reads_every_field_annotation():
+    # a supported annotation rejects a value of no JSON kind with a ConfigError;
+    # one the loader cannot read raises TypeError instead
+    kinds = list(_annotations(PipelineConfig))
+    assert len(kinds) > len(CONFIG_SURFACE)
+    for kind in kinds:
+        with pytest.raises(ConfigError, match="bad config"):
+            _read(kind, object(), "key")
+
+
+@pytest.mark.parametrize("kind", [Path, frozenset[int], dict, tuple[int, str], typing.Optional[int]])
+def test_loader_refuses_an_unsupported_annotation(kind):
+    with pytest.raises(TypeError, match="cannot read"):
+        _read(kind, object(), "key")
+
+
+def test_segmenter_section_needs_its_commands():
+    for section in ({}, {"train_cmd": "t"}):
+        with pytest.raises(ConfigError, match="bad config: .*predict_cmd"):
+            config_from_dict({"segmenter": section})
 
 
 def test_roundtrip_via_file(tmp_path):

@@ -171,6 +171,10 @@ def test_malformed_records_are_manifest_errors(tmp_path):
         (["case_a"], "case record must be a JSON object"),
         ([_entry("a", "organ_only", classes=["liver"])], "annotated_classes must be class ids"),
         ([_entry("a", "organ_only", classes=3)], "annotated_classes must be class ids"),
+        ([_entry("a", "organ_only", classes="135")], "annotated_classes must be class ids"),
+        ([_entry("a", "organ_only", classes=[1.9, 3])], "annotated_classes must be class ids"),
+        ([_entry("a", "organ_only", classes=["3"])], "annotated_classes must be class ids"),
+        ([_entry("a", "organ_only", classes=[True])], "annotated_classes must be class ids"),
         ([dict(_entry("a", "full"), case_id=7)], "not a string: case_id"),
         ([dict(_entry("a", "full"), annotation_status=["full"])], "not a string: annotation_status"),
     ]:

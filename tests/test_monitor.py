@@ -1,3 +1,4 @@
+import json
 import os
 import resource
 import sys
@@ -18,6 +19,7 @@ from voxseg.monitor import (
     auc_above_floor,
     efficiency_report,
     sample_run,
+    write_report,
 )
 
 from oracles import auc_ref
@@ -102,7 +104,7 @@ def test_auc_matches_numeric_oracle_randomized():
         assert abs(got - want) < 1e-3  # oracle is a dense numeric integration
 
 
-def test_efficiency_report_tolerance():
+def test_efficiency_report_tolerance(tmp_path):
     trace = _trace([(0.0, 6.0), (10.0, 6.0)])
     r = efficiency_report(trace, runtime_s=10.0)
     assert r.runtime_over_tolerance_s == 0.0
@@ -110,8 +112,10 @@ def test_efficiency_report_tolerance():
     assert abs(r2.runtime_over_tolerance_s - 2.5) < 1e-9
     assert abs(r2.mem_auc_gb_s - 20.0) < 1e-9
     assert abs(r2.peak_mem_gb - 6.0) < 1e-9
-    d = r2.to_dict()
-    assert set(d) == {"runtime_s", "runtime_over_tolerance_s", "mem_auc_gb_s", "peak_mem_gb"}
+    write_report(r2, tmp_path / "report.json")
+    d = json.loads((tmp_path / "report.json").read_text())
+    assert list(d) == ["runtime_s", "runtime_over_tolerance_s", "mem_auc_gb_s", "peak_mem_gb"]
+    assert d["runtime_s"] == 17.5
 
 
 def test_self_rss_uses_the_system_page_size(monkeypatch):

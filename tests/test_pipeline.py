@@ -536,6 +536,19 @@ def test_validate_run_guards(fixture_dataset, tmp_path):
         run_pipeline(manifest, ext, tmp_path / "w4")
 
 
+def test_missing_external_dir_is_rejected_before_work(fixture_dataset, tmp_path):
+    manifest, _ = _load(fixture_dataset)
+    missing = tmp_path / "missing"
+    config = load_config(
+        fixture_dataset["config"],
+        overrides=[f'external_label_dirs={{"ext": "{missing}"}}', 'fusion.source_priority=["own","ext"]'],
+    )
+    work = tmp_path / "work"
+    with pytest.raises(PipelineError, match=rf"external source 'ext': {re.escape(str(missing))} is not a directory"):
+        run_pipeline(manifest, config, work)
+    assert not work.exists()
+
+
 def _degenerate_config(paths, *extra):
     return load_config(
         paths["config"],
