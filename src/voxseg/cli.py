@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
-import shlex
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +31,7 @@ from .monitor import (
     SELF_RSS_PROBE,
     efficiency_report,
     sample_run,
+    split_command,
     write_report,
 )
 from .nifti import load_nifti, nifti_files, nifti_stem, save_nifti
@@ -277,13 +278,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    if not math.isfinite(args.floor):
+        raise _UsageError(f"--floor must be finite, got {args.floor}")
     try:
-        argv = shlex.split(args.cmd)
-    except ValueError as exc:  # e.g. an unpaired quote
-        raise _UsageError(f"cannot parse --cmd {args.cmd!r}: {exc}") from exc
-    if not argv:
-        raise _UsageError("--cmd names no command")
-    returncode, trace = sample_run(argv, probe=args.probe, period_s=args.period)
+        returncode, trace = sample_run(split_command(args.cmd), args.probe, args.period)
+    except VoxsegError as exc:  # a bad --cmd, --probe or --period
+        raise _UsageError(str(exc)) from exc
     runtime = trace.samples[-1][0]
     report = efficiency_report(trace, runtime, args.floor)
     print(

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-import shlex
 import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -16,20 +15,22 @@ from pathlib import Path
 from .errors import ConfigError, VoxsegError
 from .fusion import FusionPolicy
 from .metrics import NsdParams
+from .monitor import split_command
 from .preprocess import NormalizationParams
 from .postprocess import DEFAULT_CONNECTIVITY, DEFAULT_KEEP_LARGEST_CLASSES
 
 
 @dataclass(frozen=True)
 class SegmenterContract:
-    """Subprocess command templates driving the external segmenter.
+    """Command templates driving the external segmenter.
 
     ``train_cmd`` may use {train_dir}, {label_dir}, {model_dir};
     ``predict_cmd`` may use {model_dir}, {input_dir}, {output_dir}.
-    A template is split into arguments by shell quoting rules, must name a
-    command, and is run without a shell. Commands must exit 0 on success;
-    predict writes one output per input case (``<case>.nii.gz`` or
-    ``<case>_prob_<class>.nii.gz``).
+    A template is split into words by shell quoting rules, then each
+    ``{name}`` becomes its path verbatim inside its word (``{{``/``}}`` are
+    literal braces). It must name a command, and is run without a shell. Commands
+    must exit 0; predict writes one output per input case (``<case>.nii.gz``
+    or ``<case>_prob_<class>.nii.gz``).
     """
 
     train_cmd: str
@@ -44,14 +45,9 @@ class SegmenterContract:
             (self.predict_cmd, {"model_dir", "input_dir", "output_dir"}),
         ):
             try:
-                # a filled placeholder is one word, so "{model_dir}" alone names a command
-                words = shlex.split(tmpl.format(**{k: k for k in allowed}))
-            except (KeyError, IndexError) as exc:
-                raise ConfigError(f"bad placeholder in command template {tmpl!r}: {exc}") from exc
-            except ValueError as exc:  # an unpaired brace or quote
-                raise ConfigError(f"cannot parse command template {tmpl!r}: {exc}") from exc
-            if not words:
-                raise ConfigError(f"command template {tmpl!r} names no command")
+                split_command(tmpl, {k: k for k in allowed})
+            except VoxsegError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,10 @@ class PipelineConfig:
             raise ConfigError("round counts must be nonnegative")
         if not self.nsd_tau > 0:
             raise ConfigError(f"nsd_tau must be positive, got {self.nsd_tau}")
+        if len(set(self.eval_cases)) != len(self.eval_cases):
+            raise ConfigError(f"duplicate case ids in eval_cases: {list(self.eval_cases)}")
+        if "own" in self.external_label_dirs:
+            raise ConfigError("external_label_dirs: 'own' is the pipeline's own source; rename it")
 
     def rounds(self, phase: str) -> int:
         return self.rounds_tumor if phase == "tumor" else self.rounds_organ

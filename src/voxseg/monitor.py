@@ -1,11 +1,12 @@
 """Efficiency scoring: run a command while sampling memory through a
 pluggable probe, then integrate the memory-time curve above a floor.
 
-The probe is any command printing one integer (bytes) to stdout; the
-placeholder ``{pid}`` expands to the monitored process id. The builtin
+The probe is any command printing one integer (bytes) to stdout, split by
+``split_command`` with ``{pid}`` set to the monitored process id. The builtin
 probe ``self-rss`` reads the child's RSS from /proc without spawning."""
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import resource
@@ -58,15 +59,28 @@ def _read_self_rss(pid: int) -> int:
     return pages * resource.getpagesize()
 
 
+def split_command(text: str, fill: dict | None = None) -> list[str]:
+    """Split ``text`` by shell quoting rules, then format each word with ``fill``:
+    ``{name}`` becomes its value verbatim and ``{{``/``}}`` a brace.  It must name a command."""
+    try:
+        words = [w if fill is None else w.format(**fill) for w in shlex.split(text)]
+    except ValueError as exc:  # an unpaired quote or brace
+        raise VoxsegError(f"cannot parse command template {text!r}: {exc}") from exc
+    except (KeyError, IndexError, AttributeError, TypeError) as exc:  # {bogus}, {0}, {name.x}
+        raise VoxsegError(f"bad placeholder in command template {text!r}: {exc}") from exc
+    if not words:
+        raise VoxsegError(f"command template {text!r} names no command")
+    return words
+
+
 def _run_probe(probe: str, pid: int) -> int | None:
     if probe == SELF_RSS_PROBE:
         try:
             return _read_self_rss(pid)
         except (OSError, ValueError, IndexError):
             return None
-    cmd = shlex.split(probe.replace("{pid}", str(pid)))
     try:
-        out = subprocess.run(cmd, capture_output=True, timeout=10).stdout
+        out = subprocess.run(split_command(probe, {"pid": pid}), capture_output=True, timeout=10).stdout
         return int(out.strip())
     except (ValueError, OSError, subprocess.SubprocessError) as exc:
         log.warning("probe %r failed (%s); sample skipped", probe, exc)
@@ -74,41 +88,38 @@ def _run_probe(probe: str, pid: int) -> int | None:
 
 
 def sample_run(
-    cmd: list[str] | str,
+    argv: list[str],
     probe: str = SELF_RSS_PROBE,
     period_s: float = DEFAULT_PERIOD_S,
+    output=None,
 ) -> tuple[int, ResourceTrace]:
-    """Run ``cmd`` to completion, sampling memory every ``period_s``.
+    """Run ``argv`` to completion, sampling memory every ``period_s``; its
+    stdout and stderr go to the file object ``output`` when given.
 
     Returns the exit status and the trace, which always includes a final
-    sample taken after exit.
+    sample taken after exit.  An interrupted caller kills the command.
     """
-    if period_s <= 0:
-        raise VoxsegError(f"period must be positive, got {period_s}")
-    argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
+    if not 0 < period_s < float("inf"):
+        raise VoxsegError(f"period must be positive and finite, got {period_s}")
+    if not argv:
+        raise VoxsegError("sample_run needs a command to run")
+    if probe != SELF_RSS_PROBE:
+        split_command(probe, {"pid": 0})  # a bad probe fails before the command starts
     start = time.perf_counter()
-    proc = subprocess.Popen(argv)
     samples: list[tuple[float, int]] = []
-    last_t = -1.0
-
-    def take_sample():
-        nonlocal last_t
-        mem = _run_probe(probe, proc.pid)
-        if mem is None:
-            return
-        t = time.perf_counter() - start
-        if t <= last_t:
-            return
-        samples.append((t, mem))
-        last_t = t
-
-    take_sample()
-    while True:
+    with subprocess.Popen(argv, stdout=output, stderr=output) as proc:
         try:
-            proc.wait(timeout=period_s)  # returns as soon as the command exits
-            break
-        except subprocess.TimeoutExpired:
-            take_sample()
+            while True:
+                mem = _run_probe(probe, proc.pid)
+                t = time.perf_counter() - start
+                if mem is not None and (not samples or t > samples[-1][0]):
+                    samples.append((t, mem))
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    proc.wait(timeout=period_s)  # returns as soon as the command exits
+                    break
+        except BaseException:
+            proc.kill()
+            raise
     # Final sample at exit time. A per-process probe can no longer answer
     # for a dead pid, so carry the last observed memory forward; a
     # system-wide probe still gets consulted.

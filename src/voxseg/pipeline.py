@@ -39,7 +39,6 @@ import os
 import re
 import shlex
 import shutil
-import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,7 @@ from .errors import PipelineError, SegmenterError, VoxsegError
 from .fusion import PartialLabel, majority_vote, merge_organ_tumor, merge_partial
 from .manifest import CaseRecord, Manifest
 from .metrics import aggregate_cohort, evaluate_case
+from .monitor import sample_run, split_command
 from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
 from .tta import FlipSpec, aggregate, apply_flip, argmax_labels, enumerate_flips
@@ -284,24 +284,21 @@ def _student_records(manifest: Manifest, config: PipelineConfig, phase: str) -> 
     return [r for r in manifest.cases if r.case_id not in teacher_ids]
 
 
-def _run_command(template: str, mapping: dict, log_path: Path, what: str) -> None:
-    try:
-        cmd = template.format(**{k: shlex.quote(str(v)) for k, v in mapping.items()})
-    except (KeyError, IndexError) as exc:
-        raise SegmenterError(f"bad placeholder in {what} command {template!r}: {exc}") from exc
-    argv = shlex.split(cmd)
+def _run_command(template: str, paths: dict, log_path: Path, what: str) -> None:
+    argv = split_command(template, {k: str(v) for k, v in paths.items()})  # str, as checked at load
+    cmd = shlex.join(argv)
     log.info("running %s: %s", what, cmd)
     try:
         with open(log_path, "ab") as fh:
             fh.write(f"$ {cmd}\n".encode())
             fh.flush()
-            proc = subprocess.run(argv, stdout=fh, stderr=fh)
+            code, trace = sample_run(argv, output=fh)
+            fh.write(f"# voxseg: exit {code} after {trace.samples[-1][0]:.2f} s, peak RSS "
+                     f"{trace.peak_bytes / 2**20:.1f} MB (launched process only)\n".encode())
     except OSError as exc:
         raise SegmenterError(f"cannot launch {what} command {argv[0]!r}: {exc}") from exc
-    if proc.returncode != 0:
-        raise SegmenterError(
-            f"{what} command exited with {proc.returncode}; see {log_path}"
-        )
+    if code != 0:
+        raise SegmenterError(f"{what} command exited with {code}; see {log_path}")
 
 
 def _fresh_dir(path: Path) -> Path:

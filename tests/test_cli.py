@@ -327,13 +327,40 @@ def test_monitor_requires_cmd():
 
 def test_monitor_rejects_an_unparsable_cmd(capsys):
     assert main(["monitor", "--cmd", "echo 'x"]) == 2
-    assert "error: cannot parse --cmd" in capsys.readouterr().err
+    assert "error: cannot parse command template \"echo 'x\"" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["", "   "])
 def test_monitor_rejects_an_empty_cmd(capsys, cmd):
     assert main(["monitor", "--cmd", cmd]) == 2
-    assert "error: --cmd names no command" in capsys.readouterr().err
+    assert f"error: command template {cmd!r} names no command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--period", "nan"], "period must be positive and finite"),
+    (["--period", "inf"], "period must be positive and finite"),
+    (["--period", "0"], "period must be positive and finite"),
+    (["--floor", "nan"], "--floor must be finite"),
+    (["--floor", "inf"], "--floor must be finite"),
+    (["--probe", "echo 'x"], "cannot parse command template"),
+    (["--probe", ""], "names no command"),
+    (["--probe", "echo {pid.x}"], "bad placeholder"),
+])
+def test_monitor_rejects_bad_flags_before_the_command_starts(tmp_path, capsys, flags, message):
+    marker = tmp_path / "started"
+    cmd = f"{sys.executable} -c \"open({str(marker)!r}, 'w')\""
+    assert main(["monitor", "--cmd", cmd, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not marker.exists()
+
+
+def test_monitor_probe_fills_the_pid_inside_a_word(capsys):
+    # the probe answers 2 GB only when its last word is "pid=<digits>"
+    check = "import sys; w = sys.argv[1]; print(2147483648 if w[4:].isdigit() and w[:4] == 'pid=' else 0)"
+    code = main(["monitor", "--cmd", f"{sys.executable} -c pass", "--period", "0.05",
+                 "--probe", f'{sys.executable} -c "{check}" pid={{pid}}'])
+    assert code == 0
+    assert "peak 2.000 GB" in capsys.readouterr().out
 
 
 def test_tta_aggregate_roundtrip(tmp_path):

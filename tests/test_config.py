@@ -126,6 +126,28 @@ def test_contract_validation():
     assert SegmenterContract("{model_dir}", "{output_dir}").train_cmd == "{model_dir}"
 
 
+@pytest.mark.parametrize("template", ["t {model_dir.x}", "t {0}", "t {}", "t {model_dir[x]}"])
+def test_contract_rejects_indexed_and_positional_placeholders(template):
+    with pytest.raises(ConfigError, match="bad placeholder"):
+        SegmenterContract(template, "p")
+    # the same template given as an override fails at load, not mid-run
+    segmenter = json.dumps({"train_cmd": template, "predict_cmd": "p"})
+    with pytest.raises(ConfigError, match="^bad config: bad placeholder"):
+        load_config(overrides=[f"segmenter={segmenter}"])
+
+
+def test_duplicate_eval_cases_are_rejected():
+    with pytest.raises(ConfigError, match="duplicate case ids in eval_cases"):
+        load_config(overrides=['eval_cases=["case_f", "case_f"]'])
+    assert load_config(overrides=['eval_cases=["case_e", "case_f"]']).eval_cases == ("case_e", "case_f")
+
+
+def test_external_source_may_not_be_named_own():
+    with pytest.raises(ConfigError, match="'own' is the pipeline's own source"):
+        load_config(overrides=['external_label_dirs={"own": "elsewhere"}'])
+    assert load_config(overrides=['external_label_dirs={"ext": "elsewhere"}']).external_label_dirs
+
+
 @pytest.mark.parametrize("override, message", [
     ("fusion=abc", "bad config"),
     ("normalization=abc", "bad config"),

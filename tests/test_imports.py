@@ -1,5 +1,6 @@
-"""Every name a module of ``voxseg`` imports is used in that module, and
-every public name a module defines is used somewhere in the program."""
+"""Every name a module of ``voxseg`` imports is used in that module, every
+public name a module defines is used somewhere in the program, and only
+``voxseg.monitor`` splits a command line or starts a process."""
 import ast
 from pathlib import Path
 
@@ -84,3 +85,33 @@ def test_every_public_name_has_a_caller():
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     uncalled = _uncalled(modules, callers, UNCALLED_ALLOWED)
     assert not uncalled, "no caller in src/, scripts/ or perfbench/: " + ", ".join(uncalled)
+
+
+def _launch_sites(source: str) -> list[str]:
+    """Every import of subprocess and every shlex.split call in ``source``;
+    a call is named with the top-level definition it sits in."""
+    sites = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Import) and any(a.name == "subprocess" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "subprocess"):
+                sites.append("import subprocess")
+            elif isinstance(node, ast.ImportFrom) and node.module == "shlex":
+                sites += [f"from shlex import {a.name}" for a in node.names if a.name == "split"]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "shlex.split":
+                sites.append(f"shlex.split in {where}")
+    return sites
+
+
+def test_scan_finds_launch_sites():
+    source = ("import shlex, subprocess\nfrom shlex import split\n"
+              "class C:\n    def f(self):\n        return shlex.split('a')\n")
+    assert _launch_sites(source) == ["import subprocess", "from shlex import split", "shlex.split in C"]
+
+
+def test_only_monitor_splits_or_launches_commands():
+    found = {p.name: _launch_sites(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "monitor.py": ["import subprocess", "shlex.split in split_command"],
+    }

@@ -1,7 +1,10 @@
 import json
 import os
 import resource
+import signal
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from voxseg.monitor import (
     auc_above_floor,
     efficiency_report,
     sample_run,
+    split_command,
     write_report,
 )
 
@@ -161,14 +165,101 @@ def test_sample_run_external_probe():
     assert all(m == BYTES_PER_GB for _, m in trace.samples)
 
 
-def test_sample_run_string_command():
-    code, trace = sample_run(f"{sys.executable} -c pass", period_s=0.05)
-    assert code == 0
-
-
 def test_sample_run_rejects_bad_period():
     with pytest.raises(VoxsegError, match="period"):
         sample_run([sys.executable, "-c", "pass"], period_s=0.0)
+
+
+@pytest.mark.parametrize("period", [-1.0, float("nan"), float("inf")])
+def test_sample_run_rejects_a_negative_or_non_finite_period(period):
+    with pytest.raises(VoxsegError, match="period must be positive and finite"):
+        sample_run([sys.executable, "-c", "pass"], period_s=period)
+
+
+def test_sample_run_rejects_an_empty_command():
+    with pytest.raises(VoxsegError, match="needs a command"):
+        sample_run([])
+
+
+@pytest.mark.parametrize("probe", ["echo 'x", "", "echo {pid.x}", "echo {0}"])
+def test_sample_run_rejects_a_bad_probe_before_starting(tmp_path, probe):
+    marker = tmp_path / "started"
+    with pytest.raises(VoxsegError):
+        sample_run([sys.executable, "-c", f"open({str(marker)!r}, 'w')"], probe=probe)
+    assert not marker.exists()
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def test_interrupted_sample_run_kills_its_command(tmp_path):
+    # SIGINT goes to the Python parent alone, as from `kill -INT`, not to
+    # the whole terminal process group
+    pid_file = tmp_path / "child.pid"
+    child = f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); time.sleep(60)"
+    parent = subprocess.Popen([sys.executable, "-c",
+                               "import sys; from voxseg.monitor import sample_run; "
+                               "sample_run([sys.executable, '-c', sys.argv[1]])", child],
+                              stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline, "the command never started"
+            time.sleep(0.05)
+        child_pid = int(pid_file.read_text())
+        parent.send_signal(signal.SIGINT)
+        assert parent.wait(timeout=10) != 0
+        deadline = time.monotonic() + 1.0
+        while _running(child_pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(child_pid)
+    finally:
+        parent.kill()
+        parent.wait()
+        if pid_file.exists() and pid_file.read_text() and _running(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+SPACED = "/tmp/a b/model"
+
+
+@pytest.mark.parametrize("template, argv", [
+    ("run {model_dir}", ["run", SPACED]),
+    ("run '{model_dir}'", ["run", SPACED]),
+    ('run "{model_dir}"', ["run", SPACED]),
+    ("run --out='{model_dir}'", ["run", f"--out={SPACED}"]),
+    ('run "{model_dir}/ckpt"', ["run", f"{SPACED}/ckpt"]),
+    ("sh -c 'ls {model_dir} > x'", ["sh", "-c", f"ls {SPACED} > x"]),
+    ("awk '{{print $1}}' {model_dir}", ["awk", "{print $1}", SPACED]),
+])
+def test_split_command_fills_each_word_verbatim(template, argv):
+    assert split_command(template, {"model_dir": SPACED}) == argv
+
+
+def test_split_command_without_fill_keeps_braces():
+    assert split_command("awk '{print $1}'") == ["awk", "{print $1}"]
+
+
+@pytest.mark.parametrize("template, message", [
+    ("run 'x", "cannot parse command template"),
+    ("run {model_dir", "cannot parse command template"),
+    ("run {bogus}", "bad placeholder"),
+    ("run {0}", "bad placeholder"),
+    ("run {}", "bad placeholder"),
+    ("run {model_dir.x}", "bad placeholder"),
+    ("run {model_dir[x]}", "bad placeholder"),
+    ("", "names no command"),
+    ("  ", "names no command"),
+])
+def test_split_command_rejects(template, message):
+    with pytest.raises(VoxsegError, match=message):
+        split_command(template, {"model_dir": SPACED})
 
 
 def test_sample_run_missing_binary_raises():

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -397,6 +398,33 @@ def test_nonzero_exit_aborts_round_with_state_intact(fixture_dataset, tmp_path):
     assert not ondisk.stage("trained") and ondisk.cases == {}
     log_text = (tmp_path / "rounds" / "tumor_r0" / "logs" / "train.log").read_text()
     assert "SystemExit" in log_text or "$ " in log_text
+
+
+EXIT_LINE = re.compile(r"# voxseg: exit (-?\d+) after \d+\.\d\d s, peak RSS \d+\.\d MB \(launched process only\)")
+
+
+def test_segmenter_logs_end_with_the_exit_line(completed_run, tmp_path):
+    for log_path in sorted((completed_run["work"] / "rounds").glob("*/logs/*.log")):
+        last = log_path.read_text().splitlines()[-1]
+        assert EXIT_LINE.fullmatch(last).group(1) == "0", log_path
+    log_path = tmp_path / "train.log"
+    with pytest.raises(SegmenterError, match="exited with 3"):
+        pipeline._run_command(f'{EXE} -c "raise SystemExit(3)"', {}, log_path, "train")
+    assert EXIT_LINE.fullmatch(log_path.read_text().splitlines()[-1]).group(1) == "3"
+
+
+def test_quoted_placeholders_get_the_exact_path(tmp_path):
+    # quotes around or glued to a placeholder must not split a path holding a space
+    model = tmp_path / "a b" / "model"
+    template = (f"{EXE} -c 'import sys; print(repr(sys.argv[1:]))' "
+                "{model_dir} '{model_dir}' \"{model_dir}\" \"{model_dir}/ckpt\" --out='{model_dir}'")
+    want = [str(model)] * 3 + [f"{model}/ckpt", f"--out={model}"]
+    log_path = tmp_path / "train.log"
+    pipeline._run_command(template, {"model_dir": model}, log_path, "train")
+    lines = log_path.read_text().splitlines()
+    assert lines[1] == repr(want)
+    # the logged command line splits back into the argv that ran
+    assert shlex.split(lines[0].removeprefix("$ "))[3:] == want
 
 
 def test_unlaunchable_command_raises(fixture_dataset, tmp_path):
