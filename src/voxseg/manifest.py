@@ -154,5 +154,5 @@ def manifest_median_spacing(manifest: Manifest) -> Spacing:
     """Per-axis lower-median spacing across all case images."""
     if not manifest.cases:
         raise ManifestError("manifest has no cases")
-    spacings = [peek_nifti(manifest.image_file(rec))[1] for rec in manifest.cases]
+    spacings = [peek_nifti(manifest.image_file(rec)).spacing for rec in manifest.cases]
     return median_spacing(spacings)

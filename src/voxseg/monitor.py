@@ -11,6 +11,7 @@ import json
 import logging
 import resource
 import shlex
+import string
 import subprocess
 import time
 from dataclasses import asdict, dataclass
@@ -60,17 +61,18 @@ def _read_self_rss(pid: int) -> int:
 
 
 def split_command(text: str, fill: dict | None = None) -> list[str]:
-    """Split ``text`` by shell quoting rules, then format each word with ``fill``:
-    ``{name}`` becomes its value verbatim and ``{{``/``}}`` a brace.  It must name a command."""
+    """Split ``text`` by shell quoting rules, then format each word with ``fill``: a bare
+    ``{name}`` of ``fill`` becomes its value verbatim and ``{{``/``}}`` a brace.  It must name a command."""
     try:
-        words = [w if fill is None else w.format(**fill) for w in shlex.split(text)]
+        words = shlex.split(text)
+        fields = [] if fill is None else [f for w in words for f in string.Formatter().parse(w)]
     except ValueError as exc:  # an unpaired quote or brace
         raise VoxsegError(f"cannot parse command template {text!r}: {exc}") from exc
-    except (KeyError, IndexError, AttributeError, TypeError) as exc:  # {bogus}, {0}, {name.x}
-        raise VoxsegError(f"bad placeholder in command template {text!r}: {exc}") from exc
+    if any(key is not None and (key not in fill or spec or conv) for _, key, spec, conv in fields):
+        raise VoxsegError(f"bad placeholder in command template {text!r}: use a bare {{name}} of {sorted(fill)}")
     if not words:
         raise VoxsegError(f"command template {text!r} names no command")
-    return words
+    return words if fill is None else [w.format(**fill) for w in words]
 
 
 def _run_probe(probe: str, pid: int) -> int | None:
@@ -81,7 +83,9 @@ def _run_probe(probe: str, pid: int) -> int | None:
             return None
     try:
         out = subprocess.run(split_command(probe, {"pid": pid}), capture_output=True, timeout=10).stdout
-        return int(out.strip())
+        if (mem := int(out.strip())) < 0:
+            raise ValueError(f"negative reading {mem}")
+        return mem
     except (ValueError, OSError, subprocess.SubprocessError) as exc:
         log.warning("probe %r failed (%s); sample skipped", probe, exc)
         return None

@@ -6,6 +6,7 @@ on save; a truncated or corrupt stream raises ``NiftiError``).
 ``scl_slope``/``scl_inter`` are applied on load (slope 0 means "no
 scaling") and written back as (1, 0).
 Orientation fields are carried as opaque bytes, never interpreted.
+``peek_nifti`` reads the header alone, as a ``Volume`` over zeros.
 Compressed files are written at gzip level 1: these are scratch and
 pipeline files, and level 9 takes ~10x longer for ~5% smaller files.
 
@@ -131,8 +132,8 @@ def _parse_header(raw: bytes, path) -> dict:
     }
 
 
-def peek_nifti(path) -> tuple[tuple[int, int, int], Spacing]:
-    """Read dims and spacing without loading the payload."""
+def peek_nifti(path) -> Volume:
+    """The header of ``path`` as a Volume over read-only zero-stride zeros."""
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
@@ -145,7 +146,7 @@ def peek_nifti(path) -> tuple[tuple[int, int, int], Spacing]:
         else:
             raw = fh.read(HEADER_SIZE)
     hdr = _parse_header(raw, path)
-    return hdr["dims"], hdr["spacing"]
+    return Volume(np.broadcast_to(np.uint8(0), hdr["dims"]), hdr["spacing"], extra=hdr["extra"])
 
 
 def load_nifti(path) -> Volume:

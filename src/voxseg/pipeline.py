@@ -8,7 +8,8 @@ time), keep the largest component per configured class, and persist the
 fused pseudo labels.  A final merge stage combines the per-phase labels
 (plus any external pseudo-label sources) into complete 14-class maps and
 overlays each case's ground truth.  Cases run one at a time, in manifest
-order, on the calling thread.
+order, on the calling thread.  A case's grid is its image's header: every
+map read is checked against it and every map written is built on it.
 
 State lives in ``<work>/state.json``, a snapshot rewritten atomically at
 every stage boundary, plus ``state.json.journal``, which gets one JSON line
@@ -53,7 +54,8 @@ from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
 from .tta import FlipSpec, aggregate, apply_flip, argmax_labels, enumerate_flips
 from .volume import (
-    ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, ProbMap, Volume, check_labelmap, labelmap_like,
+    ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, ProbMap, Volume, check_labelmap, check_same_grid,
+    labelmap_like,
 )
 
 log = logging.getLogger(__name__)
@@ -320,7 +322,7 @@ def _build_train_dirs(
     for rec in teachers:
         src = manifest.image_file(rec)
         shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
-        gt = check_labelmap(load_nifti(manifest.label_file(rec)))
+        gt = check_labelmap(peek_nifti(src).with_data(load_nifti(manifest.label_file(rec)).data))
         save_nifti(_restrict(gt, rec.annotated_classes & classes), lab_dir / f"{rec.case_id}.nii.gz")
         count += 1
     held_out = set(config.eval_cases)
@@ -402,29 +404,17 @@ def _case_prob_paths(
     return flips, classes
 
 
-def _off_grid(got: tuple, want: tuple) -> str | None:
-    """Why (dims, spacing) ``got`` is not the image's ``want``, or None."""
-    if got[0] == want[0] and got[1].close_to(want[1]):
-        return None
-    return (
-        f"grid {got[0]} at {got[1].as_tuple()} mm does not match "
-        f"the image's {want[0]} at {want[1].as_tuple()} mm"
-    )
-
-
-def _load_on_grid(path: Path, grid: tuple) -> Volume:
-    """One segmenter output map, checked against the case's (dims, spacing)."""
+def _load_on_grid(path: Path, image: Volume) -> Volume:
+    """A segmenter's or an external source's map, checked against its case image's grid."""
     vol = load_nifti(path)
-    why = _off_grid((vol.dims, vol.spacing), grid)
-    if why:
-        raise VoxsegError(f"{path.name}: {why}")
+    check_same_grid([("image", image), (path.name, vol)])
     return vol
 
 
-def _class_mean(flips, class_id: int, grid: tuple) -> np.ndarray:
+def _class_mean(flips, class_id: int, grid: Volume) -> np.ndarray:
     """Float64 mean of one class's unflipped maps, added in flip order;
     each map is loaded, added and freed before the next is loaded."""
-    acc = np.zeros(grid[0], order="F")
+    acc = np.zeros(grid.dims, order="F")
     for spec, paths in flips:
         acc += _load_on_grid(paths[class_id], grid).data[spec.reverse]
     acc /= len(flips)
@@ -432,7 +422,7 @@ def _class_mean(flips, class_id: int, grid: tuple) -> np.ndarray:
 
 
 def _recompute_near_ties(
-    flips, classes, grid: tuple, near: np.ndarray, labels: np.ndarray
+    flips, classes, grid: Volume, near: np.ndarray, labels: np.ndarray
 ) -> None:
     """Relabel the ``near`` voxels with ``argmax_labels(aggregate(...))``
     on their gathered (C, n, 1, 1) maps, which reads every map again."""
@@ -444,13 +434,13 @@ def _recompute_near_ties(
             probs = np.empty((len(classes), n, 1, 1), dtype=np.float32)
             for i, c in enumerate(classes):
                 probs[i, :, 0, 0] = _load_on_grid(paths[c], grid).data[spec.reverse][near]
-            yield FlipSpec(), ProbMap(probs, classes, grid[1])
+            yield FlipSpec(), ProbMap(probs, classes, grid.spacing)
 
     labels[near] = argmax_labels(aggregate(gathered())).data[:, 0, 0]
 
 
 def reduce_prob_maps(
-    index: dict, raw_dir: Path, case_id: str, use_tta: bool, grid: tuple | None = None
+    index: dict, raw_dir: Path, case_id: str, use_tta: bool, grid: Volume | None = None
 ) -> Volume:
     """Labels of one case from its (flipped) probability maps, one class
     at a time, checking them against the wire contract.
@@ -459,8 +449,8 @@ def reduce_prob_maps(
     (``_class_mean``), which is added to a per-voxel sum and folded into a
     running best and label; the comparison is strict, so the lower class
     keeps a tie.  The case thus holds a few volumes, not (C, nx, ny, nz)
-    arrays.  ``grid`` is the (dims, spacing) every map must have: the
-    student image's, or by default that of the first flip's background map.
+    arrays.  ``grid`` is the header every map must match and the labels
+    get: the student image's, or by default the first flip's background map's.
     Every flip must carry the same classes, including background 0; each
     class mean must lie in [0, 1] and the per-voxel sum must be 1, both
     within ``PROB_TOL``.
@@ -474,7 +464,7 @@ def reduce_prob_maps(
     flips, classes = _case_prob_paths(index, raw_dir, case_id, use_tta)
     if grid is None:
         grid = peek_nifti(flips[0][1][0])
-    dims = grid[0]
+    dims = grid.dims
     total = np.zeros(dims, order="F")
     labels = np.zeros(dims, dtype=np.uint8, order="F")  # class 0 is background
     near = np.zeros(dims, dtype=bool, order="F")
@@ -505,21 +495,21 @@ def reduce_prob_maps(
         )
     if near.any():
         _recompute_near_ties(flips, classes, grid, near, labels)
-    return check_labelmap(Volume(labels, grid[1]))
+    return check_labelmap(grid.with_data(labels))
 
 
 def _predicted_labels(
     rec: CaseRecord, manifest: Manifest, raw_dir: Path, prob_maps: dict, config: PipelineConfig
 ) -> Volume:
-    """Read the segmenter's output for one case, on the case image's grid,
-    and reduce it to labels."""
-    grid = peek_nifti(manifest.image_file(rec))
+    """Read the segmenter's output for one case, checked against the case
+    image's grid, and reduce it to labels on the image's header."""
+    head = peek_nifti(manifest.image_file(rec))
     if config.segmenter.output_mode == "labels":
         path = find_nifti(raw_dir, rec.case_id)
         if path is None:
             raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
-        return check_labelmap(_load_on_grid(path, grid))
-    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, config.tta, grid)
+        return check_labelmap(head.with_data(_load_on_grid(path, head).data))
+    return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, config.tta, head)
 
 
 def _process_case(
@@ -660,35 +650,34 @@ def run_phase(
     return state
 
 
-def _phase_component(work: Path, manifest: Manifest, rec: CaseRecord, phase: str) -> Volume:
+def _phase_component(work: Path, head: Volume, rec: CaseRecord, phase: str) -> Volume:
     """A case's fused pseudo label for one phase from ``pseudo_<phase>/``,
-    or zeros on its image's grid where there is none, as for a teacher."""
+    or zeros where there is none, as for a teacher; on the image's ``head``."""
     path = _store_dir(work, phase) / f"{rec.case_id}.nii.gz"
     if path.exists():
-        return check_labelmap(load_nifti(path))
-    dims, spacing = peek_nifti(manifest.image_file(rec))
-    return Volume(np.zeros(dims, dtype=np.uint8, order="F"), spacing)  # x-fastest, like loaded maps
+        return check_labelmap(head.with_data(load_nifti(path).data))
+    return head.with_data(np.zeros(head.dims, dtype=np.uint8, order="F"))  # x-fastest, like loaded maps
 
 
 def _own_labels(work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord) -> Volume:
     """A case's organ and tumor pseudo labels merged into one map; its
     ground truth is overlaid later, by ``_merge_case`` alone."""
-    organ = _phase_component(work, manifest, rec, "organ")
-    tumor = _phase_component(work, manifest, rec, "tumor")
+    head = peek_nifti(manifest.image_file(rec))
+    organ = _phase_component(work, head, rec, "organ")
+    tumor = _phase_component(work, head, rec, "tumor")
     return merge_organ_tumor(organ, tumor, config.fusion.tumor_overrides_organ)
 
 
 def _merge_case(work: Path, manifest: Manifest, config: PipelineConfig, rec: CaseRecord) -> Volume:
     merged = _own_labels(work, manifest, config, rec)
     if config.external_label_dirs:
-        sources = [("own", merged)]
-        grid = (merged.dims, merged.spacing)
+        sources = [("own", merged)]  # on the case image's header
         for name, directory in config.external_label_dirs.items():
             path = find_nifti(directory, rec.case_id)
             if path is None:
                 log.warning("external source %s has no label for %s", name, rec.case_id)
             else:
-                sources.append((name, check_labelmap(_load_on_grid(path, grid))))
+                sources.append((name, check_labelmap(_load_on_grid(path, merged))))
         if len(sources) > 1:
             merged = majority_vote(sources, config.fusion)
     if rec.label_path and rec.case_id not in set(config.eval_cases):
@@ -734,9 +723,11 @@ def validate_run(manifest: Manifest, config: PipelineConfig) -> None:
         raise PipelineError("config.segmenter is required when any phase has rounds > 0")
     for rec in manifest.cases:
         if rec.label_path:
-            why = _off_grid(peek_nifti(manifest.label_file(rec)), peek_nifti(manifest.image_file(rec)))
-            if why:
-                raise PipelineError(f"case {rec.case_id!r}: label {why}")
+            try:
+                check_same_grid([("image", peek_nifti(manifest.image_file(rec))),
+                                 ("label", peek_nifti(manifest.label_file(rec)))])
+            except VoxsegError as exc:
+                raise PipelineError(f"case {rec.case_id!r}: {exc}") from exc
 
 
 def check_failed(records: list[dict], where: Path) -> None:

@@ -87,13 +87,14 @@ class Volume:
 
 def check_same_grid(named: list[tuple[str, Volume]]) -> None:
     """Raise unless every ``(name, volume)`` has the first one's dims and,
-    within ``Spacing.close_to``, its spacing."""
+    within ``Spacing.close_to``, its spacing; orientation is not compared."""
     (first, ref), *rest = named
     for name, vol in rest:
         if vol.dims != ref.dims:
             raise VoxsegError(f"dim mismatch: {first} {ref.dims} vs {name} {vol.dims}")
         if not vol.spacing.close_to(ref.spacing):
-            raise VoxsegError(f"spacing mismatch: {first} {ref.spacing} vs {name} {vol.spacing}")
+            a, b = ref.spacing.as_tuple(), vol.spacing.as_tuple()
+            raise VoxsegError(f"spacing mismatch: {first} {a} mm vs {name} {b} mm")
 
 
 def as_binary(mask, name: str = "mask") -> np.ndarray:
@@ -118,8 +119,8 @@ def check_labelmap(vol: Volume) -> Volume:
 
 
 def labelmap_like(values: np.ndarray, like: Volume) -> Volume:
-    """Wrap an integer array as a label map sharing ``like``'s geometry."""
-    return check_labelmap(Volume(np.asarray(values, dtype=np.uint8), like.spacing))
+    """Wrap an integer array as a label map on ``like``'s header."""
+    return check_labelmap(like.with_data(np.asarray(values, dtype=np.uint8)))
 
 
 @dataclass(frozen=True)

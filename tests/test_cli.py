@@ -354,6 +354,21 @@ def test_monitor_rejects_bad_flags_before_the_command_starts(tmp_path, capsys, f
     assert not marker.exists()
 
 
+def test_monitor_rejects_a_probe_placeholder_with_a_conversion(tmp_path, capsys):
+    marker = tmp_path / "started"
+    cmd = f"{sys.executable} -c \"open({str(marker)!r}, 'w')\""
+    assert main(["monitor", "--cmd", cmd, "--probe", "echo {pid!r}"]) == 2
+    assert "bad placeholder" in capsys.readouterr().err
+    assert not marker.exists()
+
+
+def test_monitor_skips_a_negative_probe_reading(capsys):
+    # every sample is skipped, so the trace is too short to score: a domain error, not a usage one
+    assert main(["monitor", "--cmd", f"{sys.executable} -c pass", "--period", "0.05",
+                 "--probe", "echo -5"]) == 1
+    assert "trace needs >= 2 samples" in capsys.readouterr().err
+
+
 def test_monitor_probe_fills_the_pid_inside_a_word(capsys):
     # the probe answers 2 GB only when its last word is "pid=<digits>"
     check = "import sys; w = sys.argv[1]; print(2147483648 if w[4:].isdigit() and w[:4] == 'pid=' else 0)"

@@ -136,6 +136,18 @@ def test_contract_rejects_indexed_and_positional_placeholders(template):
         load_config(overrides=[f"segmenter={segmenter}"])
 
 
+@pytest.mark.parametrize("template", [
+    "t {model_dir[0]}", "t {model_dir!r}", "t {model_dir:>40}", "t {model_dir:{model_dir}}",
+])
+def test_contract_rejects_indexing_conversions_and_specs(template):
+    # str.format would fill these with "/", a quoted repr and padded paths
+    with pytest.raises(ConfigError, match="bad placeholder"):
+        SegmenterContract(template, "p")
+    segmenter = json.dumps({"train_cmd": "t", "predict_cmd": template.replace("model_dir", "output_dir")})
+    with pytest.raises(ConfigError, match="^bad config: bad placeholder"):
+        load_config(overrides=[f"segmenter={segmenter}"])
+
+
 def test_duplicate_eval_cases_are_rejected():
     with pytest.raises(ConfigError, match="duplicate case ids in eval_cases"):
         load_config(overrides=['eval_cases=["case_f", "case_f"]'])

@@ -1,6 +1,7 @@
 """Every name a module of ``voxseg`` imports is used in that module, every
-public name a module defines is used somewhere in the program, and only
-``voxseg.monitor`` splits a command line or starts a process."""
+public name a module defines is used somewhere in the program, only
+``voxseg.monitor`` splits a command line or starts a process, and only
+``volume.check_same_grid`` compares two spacings."""
 import ast
 from pathlib import Path
 
@@ -115,3 +116,25 @@ def test_only_monitor_splits_or_launches_commands():
     assert {name: sites for name, sites in found.items() if sites} == {
         "monitor.py": ["import subprocess", "shlex.split in split_command"],
     }
+
+
+def _close_to_callers(source: str) -> list[str]:
+    """The top-level definition around each ``.close_to(...)`` call in ``source``."""
+    callers = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        callers += [where for node in ast.walk(top) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute) and node.func.attr == "close_to"]
+    return callers
+
+
+def test_scan_finds_close_to_callers():
+    source = ("def f(a, b):\n    return a.close_to(b)\n"
+              "class C:\n    def g(self, b):\n        return self.s.close_to(b) or close_to(b)\n")
+    assert _close_to_callers(source) == ["f", "C"]
+
+
+def test_only_check_same_grid_compares_spacings():
+    # the spacing tolerance is applied in one place, so every grid check agrees
+    found = {p.name: _close_to_callers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {"volume.py": ["check_same_grid"]}

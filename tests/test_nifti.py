@@ -120,9 +120,22 @@ def test_peek_matches_full_load(tmp_path):
         vol = _random_volume(rng, np.uint8)
         path = tmp_path / f"p{suffix}"
         save_nifti(vol, path)
-        dims, spacing = peek_nifti(path)
-        assert dims == vol.dims
-        assert spacing.close_to(vol.spacing, tol=1e-6)
+        head = peek_nifti(path)
+        assert head.dims == vol.dims
+        assert head.spacing.close_to(vol.spacing, tol=1e-6)
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_peek_is_the_loaded_header_over_read_only_zeros(tmp_path, suffix):
+    extra = bytes(range(1, 93))
+    path = tmp_path / f"h{suffix}"
+    save_nifti(Volume(np.arange(24, dtype=np.int16).reshape((2, 3, 4)), Spacing(0.5, 1, 3), extra=extra), path)
+    head, full = peek_nifti(path), load_nifti(path)
+    assert (head.dims, head.spacing, head.extra) == (full.dims, full.spacing, full.extra)
+    assert head.extra == extra and not head.data.any()
+    assert head.data.strides == (0, 0, 0)  # no payload-sized buffer behind it
+    with pytest.raises(ValueError, match="read-only"):
+        head.data[0, 0, 0] = 1
 
 
 def test_scl_slope_applied_on_load(tmp_path):
@@ -270,7 +283,8 @@ def test_hand_gzipped_file_loads_and_peeks(tmp_path):
     path.write_bytes(gzip.compress(plain.read_bytes()))
     back = load_nifti(path)
     assert np.array_equal(back.data, vol.data) and back.spacing == vol.spacing
-    assert peek_nifti(path) == (vol.dims, vol.spacing)
+    head = peek_nifti(path)
+    assert (head.dims, head.spacing) == (vol.dims, vol.spacing)
 
 
 @pytest.mark.parametrize("cut", ["header", "payload"])

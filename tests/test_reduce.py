@@ -239,15 +239,15 @@ def test_contract_tolerance_is_prob_tol(tmp_path):
 def test_contract_grid(tmp_path):
     _two_class_case(tmp_path, "g", 0.3, 0.7)
     index = index_prob_maps(tmp_path)
-    grid = ((2, 2, 2), SPACING)
+    grid = Volume(np.zeros((2, 2, 2), dtype=np.uint8), SPACING)
     assert (reduce_prob_maps(index, tmp_path, "g", False, grid).data == 14).all()
-    with pytest.raises(VoxsegError, match=r"g_prob_0\.nii\.gz: grid \(2, 2, 2\) .* image's \(2, 2, 3\)"):
-        reduce_prob_maps(index, tmp_path, "g", False, ((2, 2, 3), SPACING))
-    with pytest.raises(VoxsegError, match="does not match the image's"):
-        reduce_prob_maps(index, tmp_path, "g", False, ((2, 2, 2), Spacing(1, 1, 1)))
+    with pytest.raises(VoxsegError, match=r"dim mismatch: image \(2, 2, 3\) vs g_prob_0\.nii\.gz \(2, 2, 2\)"):
+        reduce_prob_maps(index, tmp_path, "g", False, Volume(np.zeros((2, 2, 3), dtype=np.uint8), SPACING))
+    with pytest.raises(VoxsegError, match=r"spacing mismatch: image \(1, 1, 1\) mm vs g_prob_0\.nii\.gz"):
+        reduce_prob_maps(index, tmp_path, "g", False, Volume(grid.data, Spacing(1, 1, 1)))
     # without a grid the first background map sets it, and every channel must agree
     save_nifti(Volume(np.full((2, 2, 3), 0.7, dtype=np.float32), SPACING), tmp_path / "g_prob_14.nii.gz")
-    with pytest.raises(VoxsegError, match=r"g_prob_14\.nii\.gz: grid \(2, 2, 3\)"):
+    with pytest.raises(VoxsegError, match=r"vs g_prob_14\.nii\.gz \(2, 2, 3\)"):
         _reduce(tmp_path, "g", False)
 
 
