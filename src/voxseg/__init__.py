@@ -23,13 +23,7 @@ from .volume import (
     Volume,
 )
 from .nifti import load_nifti, peek_nifti, save_nifti
-from .preprocess import (
-    NormalizationParams,
-    clip_normalize,
-    median_spacing,
-    resample_image,
-    resample_labels,
-)
+from .preprocess import clip_normalize
 from .fusion import FusionPolicy, PartialLabel, majority_vote, merge_organ_tumor, merge_partial
 from .tta import FlipSpec, aggregate, apply_flip, argmax_labels, enumerate_flips
 from .postprocess import connected_components, keep_largest
@@ -44,7 +38,7 @@ from .metrics import (
     surface_voxels,
 )
 from .monitor import EfficiencyReport, ResourceTrace, auc_above_floor, efficiency_report, sample_run
-from .manifest import CaseRecord, Manifest, load_manifest, manifest_median_spacing
+from .manifest import CaseRecord, Manifest, load_manifest
 from .config import PipelineConfig, SegmenterContract, load_config
 from .pipeline import PipelineState, run_merge, run_phase, run_pipeline
 

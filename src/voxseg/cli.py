@@ -2,13 +2,11 @@
 
 One binary, subcommand per workflow.  Exit codes: 0 success, 1 domain
 error (bad data, failed subprocess), 2 usage error.  Each subcommand
-declares only the flags it reads; ``fuse`` rejects the flags of the
-modes it is not running, and ``preprocess`` rejects ``--manifest``
-without ``--target median``.  The commands that read the pipeline
-config (``run``, ``phase``, ``fuse``, ``evaluate``, ``preprocess``,
-``postprocess``) accept ``--config`` (JSON file) and repeatable
-``--set key=value`` overrides; dotted keys reach nested sections, e.g.
-``--set fusion.min_votes=2``.
+declares only the flags it reads, and ``fuse`` rejects the flags of the
+modes it is not running.  The commands that read the pipeline config
+(``run``, ``phase``, ``fuse``, ``evaluate``, ``postprocess``) accept
+``--config`` (JSON file) and repeatable ``--set key=value`` overrides;
+dotted keys reach nested sections, e.g. ``--set fusion.min_votes=2``.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from . import mock_segmenter
 from .config import PipelineConfig, load_config
 from .errors import VoxsegError
 from .fusion import FusionPolicy, PartialLabel, majority_vote, merge_organ_tumor, merge_partial
-from .manifest import load_manifest, manifest_median_spacing
+from .manifest import load_manifest
 from .metrics import aggregate_cohort, evaluate_case, write_cohort_csv, write_cohort_json
 from .monitor import (
     DEFAULT_PERIOD_S,
@@ -45,24 +43,21 @@ from .pipeline import (
     validate_run,
 )
 from .postprocess import keep_largest
-from .preprocess import clip_normalize, resample_image, resample_labels
-from .volume import Spacing, check_labelmap
+from .preprocess import clip_normalize
+from .volume import FOREGROUND_CLASSES, check_labelmap
 
 log = logging.getLogger(__name__)
 
 
 def _parse_classes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        classes = tuple(int(t) for t in text.split(",") if t.strip())
+        stray = [c for c in classes if c not in FOREGROUND_CLASSES]
+        if stray:
+            raise ValueError(f"class ids must be 1-14, got {stray}")
     except ValueError as exc:
         raise VoxsegError(f"bad class list {text!r}: {exc}") from exc
-
-
-def _parse_spacing(text: str) -> Spacing:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise VoxsegError(f"spacing must be dx,dy,dz; got {text!r}")
-    return Spacing(*(float(p) for p in parts))
+    return classes
 
 
 class _UsageError(Exception):
@@ -240,36 +235,10 @@ def cmd_evaluate(args) -> int:
 # -------------------------------------------------------------- preprocess
 
 
-def _resample_target(args) -> Spacing | None:
-    if args.manifest and args.target != "median":
-        raise _UsageError("--manifest is read only with --target median")
-    if args.target is None:
-        return None
-    if args.target != "median":
-        return _parse_spacing(args.target)
-    if not args.manifest:
-        raise _UsageError("--target median needs --manifest to compute the median spacing")
-    spacing = manifest_median_spacing(load_manifest(args.manifest))
-    print(f"median spacing: {spacing.as_tuple()}")
-    return spacing
-
-
 def cmd_preprocess(args) -> int:
-    config = load_config(args.config, args.overrides)
-    target = _resample_target(args)
     out = Path(args.out)
     for (in_path,), out_path in _io_pairs([Path(args.image)], out):
-        vol = load_nifti(in_path)
-        if args.labels:
-            vol = check_labelmap(vol)
-            if target is not None:
-                vol = resample_labels(vol, target)
-        else:
-            if not args.no_normalize:
-                vol = clip_normalize(vol, config.normalization)
-            if target is not None:
-                vol = resample_image(vol, target)
-        save_nifti(vol, out_path)
+        save_nifti(clip_normalize(load_nifti(in_path)), out_path)
     print(f"wrote {out}")
     return 0
 
@@ -385,13 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write full JSON summary here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("preprocess", parents=[configured], help="clip/normalize and resample volumes")
+    p = sub.add_parser("preprocess", parents=[verbose],
+                       help="clip and z-normalize CT volumes with the frozen constants")
     p.add_argument("--image", required=True, help="input volume or directory")
     p.add_argument("--out", required=True, help="output volume or directory")
-    p.add_argument("--labels", action="store_true", help="treat input as labels (nearest neighbor)")
-    p.add_argument("--target", help='target spacing "dx,dy,dz", or "median" (needs --manifest)')
-    p.add_argument("--manifest", help="dataset manifest whose median spacing --target median uses")
-    p.add_argument("--no-normalize", action="store_true", help="skip intensity clip/normalize")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("monitor", parents=[verbose], help="run a command under a resource monitor")

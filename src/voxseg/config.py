@@ -16,8 +16,8 @@ from .errors import ConfigError, VoxsegError
 from .fusion import FusionPolicy
 from .metrics import NsdParams
 from .monitor import split_command
-from .preprocess import NormalizationParams
 from .postprocess import DEFAULT_CONNECTIVITY, DEFAULT_KEEP_LARGEST_CLASSES
+from .volume import FOREGROUND_CLASSES
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class SegmenterContract:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    normalization: NormalizationParams = field(default_factory=NormalizationParams)
     fusion: FusionPolicy = field(default_factory=FusionPolicy)
     nsd_tau: float = 1.0
     tta: bool = True
@@ -67,6 +66,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.connectivity not in (6, 26):
             raise ConfigError(f"connectivity must be 6 or 26, got {self.connectivity}")
+        stray = [c for c in self.keep_largest_classes if c not in FOREGROUND_CLASSES]
+        if stray:
+            raise ConfigError(f"keep_largest_classes: class ids must be 1-14, got {stray}")
         if self.rounds_tumor < 0 or self.rounds_organ < 0:
             raise ConfigError("round counts must be nonnegative")
         if not self.nsd_tau > 0:

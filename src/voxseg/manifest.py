@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ManifestError
-from .preprocess import median_spacing
-from .nifti import peek_nifti
-from .volume import ORGAN_CLASSES, TUMOR_CLASS, Spacing
+from .volume import ORGAN_CLASSES, TUMOR_CLASS
 
 log = logging.getLogger(__name__)
 
@@ -149,10 +147,3 @@ def load_manifest(path, root=None) -> Manifest:
     )
     return manifest
 
-
-def manifest_median_spacing(manifest: Manifest) -> Spacing:
-    """Per-axis lower-median spacing across all case images."""
-    if not manifest.cases:
-        raise ManifestError("manifest has no cases")
-    spacings = [peek_nifti(manifest.image_file(rec)).spacing for rec in manifest.cases]
-    return median_spacing(spacings)

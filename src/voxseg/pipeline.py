@@ -404,25 +404,26 @@ def _case_prob_paths(
     return flips, classes
 
 
-def _load_on_grid(path: Path, image: Volume) -> Volume:
-    """A segmenter's or an external source's map, checked against its case image's grid."""
+def _load_on_grid(path: Path, ref: Volume, ref_name: str) -> Volume:
+    """A segmenter's or an external source's map, checked against the grid
+    of ``ref`` (its case image, or the map named ``ref_name``)."""
     vol = load_nifti(path)
-    check_same_grid([("image", image), (path.name, vol)])
+    check_same_grid([(ref_name, ref), (path.name, vol)])
     return vol
 
 
-def _class_mean(flips, class_id: int, grid: Volume) -> np.ndarray:
+def _class_mean(flips, class_id: int, grid: Volume, grid_name: str) -> np.ndarray:
     """Float64 mean of one class's unflipped maps, added in flip order;
     each map is loaded, added and freed before the next is loaded."""
     acc = np.zeros(grid.dims, order="F")
     for spec, paths in flips:
-        acc += _load_on_grid(paths[class_id], grid).data[spec.reverse]
+        acc += _load_on_grid(paths[class_id], grid, grid_name).data[spec.reverse]
     acc /= len(flips)
     return acc
 
 
 def _recompute_near_ties(
-    flips, classes, grid: Volume, near: np.ndarray, labels: np.ndarray
+    flips, classes, grid: Volume, grid_name: str, near: np.ndarray, labels: np.ndarray
 ) -> None:
     """Relabel the ``near`` voxels with ``argmax_labels(aggregate(...))``
     on their gathered (C, n, 1, 1) maps, which reads every map again."""
@@ -433,7 +434,7 @@ def _recompute_near_ties(
         for spec, paths in flips:
             probs = np.empty((len(classes), n, 1, 1), dtype=np.float32)
             for i, c in enumerate(classes):
-                probs[i, :, 0, 0] = _load_on_grid(paths[c], grid).data[spec.reverse][near]
+                probs[i, :, 0, 0] = _load_on_grid(paths[c], grid, grid_name).data[spec.reverse][near]
             yield FlipSpec(), ProbMap(probs, classes, grid.spacing)
 
     labels[near] = argmax_labels(aggregate(gathered())).data[:, 0, 0]
@@ -462,7 +463,9 @@ def reduce_prob_maps(
     over and recomputed by ``_recompute_near_ties``.
     """
     flips, classes = _case_prob_paths(index, raw_dir, case_id, use_tta)
+    grid_name = "image"
     if grid is None:
+        grid_name = flips[0][1][0].name
         grid = peek_nifti(flips[0][1][0])
     dims = grid.dims
     total = np.zeros(dims, order="F")
@@ -470,7 +473,7 @@ def reduce_prob_maps(
     near = np.zeros(dims, dtype=bool, order="F")
     best = None
     for c in classes:
-        mean = _class_mean(flips, c, grid)
+        mean = _class_mean(flips, c, grid, grid_name)
         lo, hi = mean.min(), mean.max()
         if lo < -PROB_TOL or hi > 1 + PROB_TOL:
             raise VoxsegError(
@@ -494,7 +497,7 @@ def reduce_prob_maps(
             f"probability maps for {case_id!r} sum to {lo:.6g}..{hi:.6g} per voxel, not 1"
         )
     if near.any():
-        _recompute_near_ties(flips, classes, grid, near, labels)
+        _recompute_near_ties(flips, classes, grid, grid_name, near, labels)
     return check_labelmap(grid.with_data(labels))
 
 
@@ -508,7 +511,7 @@ def _predicted_labels(
         path = find_nifti(raw_dir, rec.case_id)
         if path is None:
             raise VoxsegError(f"segmenter wrote no label map for {rec.case_id!r} in {raw_dir}")
-        return check_labelmap(head.with_data(_load_on_grid(path, head).data))
+        return check_labelmap(head.with_data(_load_on_grid(path, head, "image").data))
     return reduce_prob_maps(prob_maps, raw_dir, rec.case_id, config.tta, head)
 
 
@@ -677,7 +680,7 @@ def _merge_case(work: Path, manifest: Manifest, config: PipelineConfig, rec: Cas
             if path is None:
                 log.warning("external source %s has no label for %s", name, rec.case_id)
             else:
-                sources.append((name, check_labelmap(_load_on_grid(path, merged))))
+                sources.append((name, check_labelmap(_load_on_grid(path, merged, "image"))))
         if len(sources) > 1:
             merged = majority_vote(sources, config.fusion)
     if rec.label_path and rec.case_id not in set(config.eval_cases):

@@ -128,60 +128,6 @@ def components_ref(mask, connectivity: int):
     return labels, sizes
 
 
-def output_dims_ref(dims, old, target):
-    out = []
-    for n, o, t in zip(dims, old, target):
-        out.append(max(1, int(np.floor(n * o / t + 0.5))))
-    return tuple(out)
-
-
-def sample_coords_ref(n_out: int, n_in: int, old: float, target: float) -> list[float]:
-    coords = []
-    for i in range(n_out):
-        c = (i + 0.5) * target / old - 0.5
-        coords.append(min(max(c, 0.0), float(n_in - 1)))
-    return coords
-
-
-def trilinear_ref(data, cx, cy, cz) -> np.ndarray:
-    """Separable linear interpolation at an axis-aligned coordinate grid."""
-    data = np.asarray(data, dtype=float)
-
-    def corners(c: float, n: int):
-        lo = int(np.floor(c))
-        lo = min(max(lo, 0), n - 1)
-        hi = min(lo + 1, n - 1)
-        return lo, hi, c - lo
-
-    out = np.empty((len(cx), len(cy), len(cz)))
-    for i, x in enumerate(cx):
-        x0, x1, fx = corners(x, data.shape[0])
-        for j, y in enumerate(cy):
-            y0, y1, fy = corners(y, data.shape[1])
-            for k, z in enumerate(cz):
-                z0, z1, fz = corners(z, data.shape[2])
-                acc = 0.0
-                for ix, wx in ((x0, 1 - fx), (x1, fx)):
-                    for iy, wy in ((y0, 1 - fy), (y1, fy)):
-                        for iz, wz in ((z0, 1 - fz), (z1, fz)):
-                            acc += wx * wy * wz * data[ix, iy, iz]
-                out[i, j, k] = acc
-    return out
-
-
-def nearest_ref(data, cx, cy, cz) -> np.ndarray:
-    data = np.asarray(data)
-    ix = [min(max(int(np.floor(c + 0.5)), 0), data.shape[0] - 1) for c in cx]
-    iy = [min(max(int(np.floor(c + 0.5)), 0), data.shape[1] - 1) for c in cy]
-    iz = [min(max(int(np.floor(c + 0.5)), 0), data.shape[2] - 1) for c in cz]
-    out = np.empty((len(cx), len(cy), len(cz)), dtype=data.dtype)
-    for i, x in enumerate(ix):
-        for j, y in enumerate(iy):
-            for k, z in enumerate(iz):
-                out[i, j, k] = data[x, y, z]
-    return out
-
-
 def auc_ref(samples, floor_gb: float, steps: int = 200_000) -> float:
     """Dense midpoint integration of the clipped piecewise-linear curve."""
     ts = np.array([t for t, _ in samples], dtype=float)

@@ -1,8 +1,10 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,10 +54,7 @@ CLI_SURFACE = {
         "--classes", "--out", "--verbose",
     },
     "evaluate": {"--config", "--set", "--pred", "--gt", "--out", "--json", "--verbose"},
-    "preprocess": {
-        "--config", "--set", "--manifest", "--image", "--out", "--labels", "--target",
-        "--no-normalize", "--verbose",
-    },
+    "preprocess": {"--image", "--out", "--verbose"},
     "monitor": {"--cmd", "--probe", "--period", "--floor", "--out", "--verbose"},
     "tta-aggregate": {"--input-dir", "--case", "--no-flips", "--out", "--verbose"},
     "postprocess": {"--config", "--set", "--input", "--classes", "--out", "--verbose"},
@@ -90,7 +89,34 @@ def test_cli_surface():
                  "--classes", "1", "--out", "o"]) == 2
     assert main(["fuse", "--mode", "merge-partial", "--gt", "g", "--pseudo", "p",
                  "--classes", "1", "--source", "A=a", "--out", "o"]) == 2
-    assert main(["preprocess", "--image", "i", "--out", "o", "--manifest", "m"]) == 2
+    for gone in ("--manifest", "--target", "--labels", "--no-normalize", "--config", "--set"):
+        assert main(["preprocess", "--image", "i", "--out", "o", gone, "x"]) == 2, gone
+
+
+def _readme_cli_rows():
+    """(subcommands, flags) for each row of README's CLI table: the row's
+    first code span names the subcommand (``train\\|predict`` names two
+    leaves), and every ``--flag`` anywhere in the row counts."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for row in section.splitlines():
+        usage = re.match(r"\| `voxseg ([^`]+)`", row)
+        if not usage:
+            continue
+        words = usage.group(1).split()
+        names = [words[0]]
+        if len(words) > 1 and not words[1].startswith("-"):
+            names = [f"{words[0]} {leaf}" for leaf in words[1].split("\\|")]
+        yield names, set(re.findall(r"--[a-z][a-z-]*", row))
+
+
+def test_readme_cli_table_matches_the_parser():
+    rows = list(_readme_cli_rows())
+    documented = [name for names, _ in rows for name in names]
+    assert sorted(documented) == sorted(name for name, _ in _leaf_parsers(build_parser()))
+    for names, flags in rows:
+        offered = set().union(*(CLI_SURFACE[name] for name in names))
+        assert flags <= offered, f"{names}: README names {sorted(flags - offered)}"
 
 
 def test_module_entrypoint():
@@ -241,53 +267,27 @@ def test_preprocess_normalizes_by_default(tmp_path):
     assert abs(got[2] - 1.405233) < 1e-5
 
 
-def test_preprocess_resample_and_flags(tmp_path):
-    src = tmp_path / "in.nii"
-    save_nifti(Volume(np.ones((4, 4, 4), dtype=np.float32), Spacing(1, 1, 1)), src)
-    out = tmp_path / "out.nii.gz"
-    code = main(["preprocess", "--image", str(src), "--out", str(out),
-                 "--no-normalize", "--target", "0.5,0.5,0.5"])
-    assert code == 0
-    got = load_nifti(out)
-    assert got.dims == (8, 8, 8)
-    assert np.allclose(got.data, 1.0)
-    assert got.spacing.close_to(Spacing(0.5, 0.5, 0.5))
-
-
-def test_preprocess_labels_mode(tmp_path):
-    src = tmp_path / "lab.nii"
-    _save_lab(src, np.arange(8).reshape((2, 2, 2)) % 15)
-    out = tmp_path / "out.nii.gz"
-    code = main(["preprocess", "--image", str(src), "--out", str(out), "--labels", "--target", "0.5,0.5,0.5"])
-    assert code == 0
-    got = load_nifti(out)
-    assert got.data.dtype == np.uint8 and got.dims == (4, 4, 4)
-
-
-def test_preprocess_median_target_needs_manifest(tmp_path, fixture_dataset, capsys):
-    src = fixture_dataset["root"] / "images" / "case_a.nii.gz"
-    out = tmp_path / "o.nii.gz"
-    assert main(["preprocess", "--image", str(src), "--out", str(out), "--target", "median"]) == 2
-    code = main(["preprocess", "--image", str(src), "--out", str(out), "--target", "median",
-                 "--manifest", str(fixture_dataset["manifest"])])
-    assert code == 0
-    assert "median spacing: (1.0, 1.0, 2.5)" in capsys.readouterr().out
-
-
 def test_preprocess_missing_input_is_domain_error(tmp_path):
     assert main(["preprocess", "--image", str(tmp_path / "nope.nii"), "--out", str(tmp_path / "o.nii")]) == 1
 
 
 def test_set_overrides_change_behavior(tmp_path):
     src = tmp_path / "in.nii"
-    save_nifti(Volume(np.array([[[10.0]]], dtype=np.float32), Spacing(1, 1, 1)), src)
+    data = np.zeros((2, 2, 1), dtype=np.uint8)
+    data[0, 0] = data[1, 1] = 1  # one component under 26-connectivity, two under 6
+    _save_lab(src, data)
     out = tmp_path / "out.nii"
-    code = main(["preprocess", "--image", str(src), "--out", str(out),
-                 "--set", "normalization.mean=0", "--set", "normalization.std=1"])
-    assert code == 0
-    assert abs(load_nifti(out).data.ravel()[0] - 10.0) < 1e-6
+
+    def kept(*overrides):
+        flags = [w for o in overrides for w in ("--set", o)]
+        assert main(["postprocess", "--input", str(src), "--out", str(out), *flags]) == 0
+        return int(load_nifti(out).data.sum())
+
+    assert kept() == 2
+    assert kept("connectivity=6") == 1
+    assert kept("connectivity=6", "keep_largest_classes=[2]") == 2
     # a malformed override is a domain error, not a crash
-    assert main(["preprocess", "--image", str(src), "--out", str(out), "--set", "oops"]) == 1
+    assert main(["postprocess", "--input", str(src), "--out", str(out), "--set", "oops"]) == 1
 
 
 def test_monitor_success_and_report(tmp_path, capsys):
@@ -426,6 +426,21 @@ def test_postprocess_file(tmp_path):
                  "--set", "connectivity=6"])
     assert code == 0
     assert load_nifti(out).data.ravel().tolist() == [1, 1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("classes", ["99", "0", "-1", "300", "1,a"])
+def test_class_lists_take_ids_1_to_14(tmp_path, capsys, classes):
+    lab = tmp_path / "lab.nii"
+    _save_lab(lab, np.ones((2, 1, 1)))
+    out = tmp_path / "out.nii"
+    commands = (
+        ["postprocess", "--input", str(lab)],
+        ["fuse", "--mode", "merge-partial", "--gt", str(lab), "--pseudo", str(lab)],
+    )
+    for command in commands:
+        assert main([*command, "--classes", classes, "--out", str(out)]) == 1, command
+        assert f"bad class list {classes!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_file_or_directory_commands_reject_empty_directory(tmp_path, capsys):

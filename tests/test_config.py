@@ -21,7 +21,6 @@ from voxseg.volume import ORGAN_CLASSES
 
 # Every settable dotted config key; a knob nothing sets is not offered.
 CONFIG_SURFACE = {
-    "normalization.clip_lo", "normalization.clip_hi", "normalization.mean", "normalization.std",
     "fusion.gt_background_trust", "fusion.tumor_overrides_organ",
     "fusion.min_votes", "fusion.source_priority",
     "nsd_tau", "tta", "connectivity", "keep_largest_classes", "rounds_tumor", "rounds_organ",
@@ -162,7 +161,6 @@ def test_external_source_may_not_be_named_own():
 
 @pytest.mark.parametrize("override, message", [
     ("fusion=abc", "bad config"),
-    ("normalization=abc", "bad config"),
     ("tta=no", "tta must be true or false, got 'no'"),
     ("tta=1", "tta must be true or false, got 1"),
     ("fusion.gt_background_trust=yes", "fusion.gt_background_trust must be true or false"),
@@ -170,6 +168,11 @@ def test_external_source_may_not_be_named_own():
     ("eval_cases=case_f", "eval_cases must be an array, got 'case_f'"),
     ("keep_largest_classes=1", "keep_largest_classes must be an array, got 1"),
     ("fusion.source_priority=own", "fusion.source_priority must be an array, got 'own'"),
+    # a class id is 1-14, or the key names nothing to prune
+    ("keep_largest_classes=[300]", "keep_largest_classes: class ids must be 1-14, got [300]"),
+    ("keep_largest_classes=[99]", "keep_largest_classes: class ids must be 1-14, got [99]"),
+    ("keep_largest_classes=[1,0]", "keep_largest_classes: class ids must be 1-14, got [0]"),
+    ("keep_largest_classes=[-1]", "keep_largest_classes: class ids must be 1-14, got [-1]"),
 ])
 def test_wrong_json_type_is_a_config_error(override, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -178,10 +181,6 @@ def test_wrong_json_type_is_a_config_error(override, message):
 
 # one value of the wrong JSON kind for every key in CONFIG_SURFACE
 WRONG_KINDS = [
-    ("normalization.clip_lo", "low"),
-    ("normalization.clip_hi", "true"),
-    ("normalization.mean", '"x"'),
-    ("normalization.std", "[1]"),
     ("fusion.gt_background_trust", "yes"),
     ("fusion.tumor_overrides_organ", "0"),
     ("fusion.min_votes", "true"),
@@ -291,8 +290,11 @@ def test_overrides_win_over_file(tmp_path):
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"nsd_tua": 1.0})
-    with pytest.raises(ConfigError, match="bad config"):
-        config_from_dict({"normalization": {"meen": 3}})
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['fusion\.meen'\]"):
+        config_from_dict({"fusion": {"meen": 3}})
+    # the segmenter plans its own intensity normalization; preprocess uses frozen constants
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['normalization'\]"):
+        config_from_dict({"normalization": {"mean": 0.0}})
 
 
 def test_dotted_override_into_scalar_rejected():

@@ -9,7 +9,6 @@ from voxseg.manifest import (
     CaseRecord,
     Manifest,
     load_manifest,
-    manifest_median_spacing,
 )
 from voxseg.nifti import save_nifti
 from voxseg.volume import ORGAN_CLASSES, TUMOR_CLASS, Spacing, Volume
@@ -17,11 +16,11 @@ from voxseg.volume import ORGAN_CLASSES, TUMOR_CLASS, Spacing, Volume
 ALL_CLASSES = frozenset(ORGAN_CLASSES) | {TUMOR_CLASS}
 
 
-def _write_case(root, case_id, spacing=(1.0, 1.0, 1.0), with_label=True):
-    img = Volume(np.zeros((3, 3, 3), dtype=np.int16), Spacing(*spacing))
+def _write_case(root, case_id, with_label=True):
+    img = Volume(np.zeros((3, 3, 3), dtype=np.int16), Spacing(1, 1, 1))
     save_nifti(img, root / f"{case_id}.nii.gz")
     if with_label:
-        lab = Volume(np.zeros((3, 3, 3), dtype=np.uint8), Spacing(*spacing))
+        lab = Volume(np.zeros((3, 3, 3), dtype=np.uint8), Spacing(1, 1, 1))
         save_nifti(lab, root / f"{case_id}_gt.nii.gz")
 
 
@@ -180,16 +179,6 @@ def test_malformed_records_are_manifest_errors(tmp_path):
     ]:
         with pytest.raises(ManifestError, match=match):
             load_manifest(_write_manifest(tmp_path, entries))
-
-
-def test_median_spacing_lower_median(tmp_path):
-    for cid, sp in [("a", (1.0, 1.0, 1.0)), ("b", (2.0, 3.0, 5.0)), ("c", (4.0, 2.0, 2.0)), ("d", (3.0, 8.0, 9.0))]:
-        _write_case(tmp_path, cid, spacing=sp, with_label=False)
-    path = _write_manifest(
-        tmp_path, [_entry(c, "unlabeled", with_label=False) for c in "abcd"]
-    )
-    m = load_manifest(path)
-    assert manifest_median_spacing(m).as_tuple() == (2.0, 2.0, 2.0)
 
 
 def test_explicit_root_override(tmp_path):

@@ -545,6 +545,18 @@ def test_resume_rejects_changed_config(completed_run):
         run_pipeline(completed_run["manifest"], other, completed_run["work"])
 
 
+def test_resume_rejects_a_snapshot_with_a_normalization_section(fixture_dataset, tmp_path):
+    # work dirs made while the config had a ``normalization`` section do not resume
+    config = load_config(fixture_dataset["config"])
+    state = pipeline.open_state(tmp_path, config)
+    data = json.loads(state.path.read_text())
+    data["config"]["normalization"] = {"clip_lo": -970.0, "clip_hi": 279.0, "mean": 80.3, "std": 141.4}
+    state.path.write_text(json.dumps(data))
+    with pytest.raises(PipelineError, match="created with a different config"):
+        pipeline.open_state(tmp_path, config)
+    assert pipeline.open_state(tmp_path, config, resume=False).config_snapshot == config.to_dict()
+
+
 def test_validate_run_guards(fixture_dataset, tmp_path):
     manifest, _ = _load(fixture_dataset)
     bad_eval = load_config(fixture_dataset["config"], overrides=['eval_cases=["ghost"]'])

@@ -247,7 +247,7 @@ def test_contract_grid(tmp_path):
         reduce_prob_maps(index, tmp_path, "g", False, Volume(grid.data, Spacing(1, 1, 1)))
     # without a grid the first background map sets it, and every channel must agree
     save_nifti(Volume(np.full((2, 2, 3), 0.7, dtype=np.float32), SPACING), tmp_path / "g_prob_14.nii.gz")
-    with pytest.raises(VoxsegError, match=r"vs g_prob_14\.nii\.gz \(2, 2, 3\)"):
+    with pytest.raises(VoxsegError, match=r"dim mismatch: g_prob_0\.nii\.gz \(2, 2, 2\) vs g_prob_14\.nii\.gz \(2, 2, 3\)"):
         _reduce(tmp_path, "g", False)
 
 
