@@ -282,7 +282,8 @@ def cmd_tta_aggregate(args) -> int:
 
 def cmd_postprocess(args) -> int:
     config = load_config(args.config, args.overrides)
-    classes = _parse_classes(args.classes) if args.classes else config.keep_largest_classes
+    # only an absent flag falls back to the config; "" is the empty list
+    classes = config.keep_largest_classes if args.classes is None else _parse_classes(args.classes)
     out = Path(args.out)
     for (in_path,), out_path in _io_pairs([Path(args.input)], out):
         vol = check_labelmap(load_nifti(in_path))

@@ -42,6 +42,12 @@ class FusionPolicy:
             raise VoxsegError(f"min_votes must be positive, got {self.min_votes}")
 
 
+def _classes_present(data: np.ndarray) -> set[int]:
+    """The values of a checked label map, as plain ints."""
+    counts = np.bincount(data.ravel(order="K"), minlength=TUMOR_CLASS + 1)
+    return set(np.flatnonzero(counts).tolist())
+
+
 @dataclass(frozen=True)
 class PartialLabel:
     """A ground-truth map covering only ``annotated_classes``; voxels of
@@ -52,7 +58,7 @@ class PartialLabel:
 
     def __post_init__(self):
         check_labelmap(self.map)
-        bad = set(np.unique(self.map.data)) - {0} - set(self.annotated_classes)
+        bad = _classes_present(self.map.data) - {0} - set(self.annotated_classes)
         if bad:
             raise VoxsegError(
                 f"ground truth contains classes {sorted(bad)} outside its annotated set "
@@ -128,7 +134,7 @@ def merge_organ_tumor(
     check_same_grid([("organ", organ), ("tumor", tumor)])
     if np.any(organ.data == TUMOR_CLASS):
         raise VoxsegError(f"organ map already contains tumor class {TUMOR_CLASS}")
-    tumor_values = set(np.unique(tumor.data))
+    tumor_values = _classes_present(tumor.data)
     if not tumor_values <= {0, TUMOR_CLASS}:
         raise VoxsegError(f"tumor map contains organ classes {sorted(tumor_values - {0, TUMOR_CLASS})}")
     out = organ.data.copy(order="K")

@@ -356,8 +356,10 @@ def _write_predict_inputs(
             shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
             continue
         image = load_nifti(src)
+        # stored gzip: the segmenter reads each flip once, so compressing
+        # it would cost more time than it saves
         for spec, base in _tta_bases(rec.case_id, True):
-            save_nifti(apply_flip(image, spec), img_dir / f"{base}.nii.gz")
+            save_nifti(apply_flip(image, spec), img_dir / f"{base}.nii.gz", level=0)
 
 
 def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:

@@ -1,6 +1,6 @@
 """Connected-component cleanup: per class, keep only the largest
-component. Component ids follow first-encounter scan order with x
-fastest, then y, then z."""
+component, labelled inside the class's bounding box. Component ids follow
+first-encounter scan order with x fastest, then y, then z."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -52,16 +52,22 @@ def keep_largest(
     connectivity: int = DEFAULT_CONNECTIVITY,
 ) -> Volume:
     """Zero out, for each listed class, every voxel outside its largest
-    connected component (size ties keep the lowest component id)."""
+    connected component (size ties keep the lowest component id).
+
+    Components are labelled inside each class's bounding box, so the cost
+    follows the organ, not the scan; scan order inside a box is still
+    x-fastest, so ties resolve as on the whole map."""
     check_labelmap(vol)
     out = vol.data.copy(order="K")
+    boxes = ndimage.find_objects(vol.data)  # boxes[c - 1]: class c's box, None if absent
     for class_id in classes:
-        mask = vol.data == class_id
-        if not mask.any():
+        box = boxes[class_id - 1] if 0 < class_id <= len(boxes) else None
+        if box is None:
             continue
+        mask = vol.data[box] == class_id
         comp = connected_components(mask, connectivity)
         if comp.count <= 1:
             continue
         keep_id = int(np.argmax(comp.sizes)) + 1  # argmax returns lowest id on ties
-        out[mask & (comp.labels != keep_id)] = 0
+        out[box][mask & (comp.labels != keep_id)] = 0
     return vol.with_data(out)

@@ -428,6 +428,19 @@ def test_postprocess_file(tmp_path):
     assert load_nifti(out).data.ravel().tolist() == [1, 1, 0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("flags, want", [
+    (["--classes", ""], [1, 0, 1]),
+    (["--classes", ","], [1, 0, 1]),
+    ([], [1, 0, 0]),
+], ids=["empty", "comma", "absent"])
+def test_postprocess_empty_class_list_prunes_nothing(tmp_path, flags, want):
+    # any --classes value is the list; only an absent flag means the config's
+    src, out = tmp_path / "in.nii", tmp_path / "out.nii"
+    _save_lab(src, np.array([1, 0, 1]).reshape((3, 1, 1)))
+    assert main(["postprocess", "--input", str(src), "--out", str(out), *flags]) == 0
+    assert load_nifti(out).data.ravel().tolist() == want
+
+
 @pytest.mark.parametrize("classes", ["99", "0", "-1", "300", "1,a"])
 def test_class_lists_take_ids_1_to_14(tmp_path, capsys, classes):
     lab = tmp_path / "lab.nii"

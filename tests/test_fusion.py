@@ -42,6 +42,15 @@ def test_partial_label_rejects_classes_outside_annotated_set():
     assert ok.foreground().all()
 
 
+def test_fusion_errors_name_classes_as_plain_ints():
+    with pytest.raises(VoxsegError) as err:
+        PartialLabel(_lab([[[1, 0]]]))
+    assert str(err.value) == "ground truth contains classes [1] outside its annotated set []"
+    with pytest.raises(VoxsegError) as err:
+        merge_organ_tumor(_lab([[[1, 0, 0]]]), _lab([[[14, 3, 2]]]))
+    assert str(err.value) == "tumor map contains organ classes [2, 3]"
+
+
 def test_vote_two_source_tie_goes_to_priority():
     # Two sources disagree everywhere: the tie resolves to the source
     # listed first in the priority order.

@@ -1,7 +1,8 @@
 """Every name a module of ``voxseg`` imports is used in that module, every
 public name a module defines is used somewhere in the program, only
-``voxseg.monitor`` splits a command line or starts a process, and only
-``volume.check_same_grid`` compares two spacings."""
+``voxseg.monitor`` splits a command line or starts a process, only
+``volume.check_same_grid`` compares two spacings, and only
+``pipeline._write_predict_inputs`` passes ``save_nifti`` a gzip level."""
 import ast
 from pathlib import Path
 
@@ -138,3 +139,31 @@ def test_only_check_same_grid_compares_spacings():
     # the spacing tolerance is applied in one place, so every grid check agrees
     found = {p.name: _close_to_callers(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {"volume.py": ["check_same_grid"]}
+
+
+def _level_callers(source: str) -> list[str]:
+    """The top-level definition around each ``save_nifti`` call in
+    ``source`` that passes a level, by keyword or as a third argument."""
+    callers = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        callers += [where for node in ast.walk(top) if isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "save_nifti"
+                    and (len(node.args) > 2 or any(k.arg in ("level", None) for k in node.keywords))]
+    return callers
+
+
+def test_scan_finds_level_callers():
+    source = ("def f(v, p):\n    save_nifti(v, p)\n    save_nifti(v, p, level=0)\n"
+              "def g(v, p):\n    nifti.save_nifti(v, p, 9)\n"
+              "def h(v, p, **kw):\n    save_nifti(v, p, **kw)\n")
+    assert _level_callers(source) == ["f", "g", "h"]
+
+
+def test_only_staged_tta_flips_pass_a_gzip_level():
+    # the level argument exists for one measured caller; it is not a knob
+    found = {p.relative_to(ROOT).as_posix(): _level_callers(p.read_text())
+             for tree in PROGRAM for p in sorted((ROOT / tree).rglob("*.py"))}
+    assert {path: where for path, where in found.items() if where} == {
+        "src/voxseg/pipeline.py": ["_write_predict_inputs"],
+    }

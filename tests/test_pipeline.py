@@ -32,6 +32,7 @@ from voxseg.pipeline import (
     run_phase,
     run_pipeline,
 )
+from voxseg.tta import apply_flip, enumerate_flips
 from voxseg.volume import ORGAN_CLASSES, Spacing, Volume
 
 EXE = sys.executable
@@ -524,6 +525,33 @@ def test_full_run_tta_inputs_on_disk(completed_run):
     raw = completed_run["work"] / "rounds" / "tumor_r0" / "predict_raw"
     probs = sorted(p.name for p in raw.glob("case_c__tta0_prob_*.nii.gz"))
     assert probs == ["case_c__tta0_prob_0.nii.gz", "case_c__tta0_prob_14.nii.gz"]
+
+
+def _gzip_xfl_and_first_block(path) -> tuple[int, int]:
+    """A gzip file's XFL byte and the BTYPE of its first deflate block
+    (0 = stored), for a header with no optional fields."""
+    head = path.read_bytes()[:11]
+    assert head[:3] == b"\x1f\x8b\x08" and head[3] == 0, path
+    return head[8], (head[10] >> 1) & 3
+
+
+def test_full_run_stages_tta_flips_as_stored_gzip(completed_run):
+    work, manifest = completed_run["work"], completed_run["manifest"]
+    specs = {spec.tag: spec for spec in enumerate_flips()}
+    staged = sorted(work.glob("rounds/*/predict_images/*__tta*.nii.gz"))
+    assert len(staged) == 4 * 4 * 8  # 4 rounds x 4 students x 8 flips
+    for path in staged:
+        assert _gzip_xfl_and_first_block(path) == (0, 0), path
+        case_id, tag = path.name[: -len(".nii.gz")].split("__tta")
+        want = apply_flip(load_nifti(manifest.image_file(manifest.case(case_id))), specs[int(tag)])
+        got = load_nifti(path)
+        assert np.array_equal(got.data, want.data) and got.data.dtype == want.data.dtype, path
+        assert (got.spacing, got.extra) == (want.spacing, want.extra), path
+    # every file voxseg keeps is still written at level 1 (XFL 4)
+    kept = [p for pattern in ("pseudo_*/*.nii.gz", "final/*.nii.gz", "rounds/*/train_labels/*.nii.gz")
+            for p in sorted(work.glob(pattern))]
+    assert len(kept) == 4 + 4 + 6 + 2 * (2 + 5)
+    assert {p: _gzip_xfl_and_first_block(p)[0] for p in kept} == {p: 4 for p in kept}
 
 
 def test_full_run_per_round_eval_files(completed_run):

@@ -129,18 +129,24 @@ def test_keep_largest_idempotent_randomized():
             assert np.array_equal(once.data, twice.data)
 
 
+def _keep_largest_ref(data, classes, conn):
+    """``keep_largest`` on the whole volume: flood-fill each listed class
+    and zero every component but the largest (lowest id on ties)."""
+    want = data.copy()
+    for c in set(classes):
+        labels, sizes = components_ref(data == c, conn)
+        if sizes:
+            want[(data == c) & (labels != int(np.argmax(sizes)) + 1)] = 0
+    return want
+
+
 def test_keep_largest_agrees_with_oracle_randomized():
     rng = np.random.default_rng(99)
     for _ in range(40):
         data = (rng.random((6, 6, 6)) < 0.35).astype(np.uint8) * 3
         for conn in (6, 26):
             got = keep_largest(vol(data), classes=(3,), connectivity=conn)
-            labels, sizes = components_ref(data == 3, conn)
-            want = data.copy()
-            if sizes:
-                keep_id = int(np.argmax(sizes)) + 1
-                want[(data == 3) & (labels != keep_id)] = 0
-            assert np.array_equal(got.data, want)
+            assert np.array_equal(got.data, _keep_largest_ref(data, (3,), conn))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,3 +161,45 @@ def test_keep_largest_output_is_subset(seed, conn):
     kept = out.data == 7
     if kept.any():
         assert connected_components(kept, conn).count == 1
+
+
+def _boxed_classes(rng, shape):
+    """A label map whose classes each sit in their own random sub-box,
+    sparse enough to break into several components."""
+    data = np.zeros(shape, dtype=np.uint8)
+    for c in rng.choice(np.arange(1, 15), rng.integers(1, 5), replace=False):
+        lo = [int(rng.integers(0, n)) for n in shape]
+        hi = [int(rng.integers(a, n)) + 1 for a, n in zip(lo, shape)]
+        box = data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+        box[rng.random(box.shape) < rng.uniform(0.15, 0.6)] = c
+    return data
+
+
+def test_keep_largest_in_boxes_matches_the_whole_volume_oracle():
+    rng = np.random.default_rng(2024)
+    for i in range(30):
+        data = _boxed_classes(rng, (7, 6, 5))
+        if i % 2:
+            data = np.asfortranarray(data)
+        # listed classes include ones absent from the map, and background
+        classes = tuple(int(c) for c in rng.choice(np.arange(0, 15), 6))
+        for conn in (6, 26):
+            got = keep_largest(vol(data), classes, conn)
+            assert np.array_equal(got.data, _keep_largest_ref(data, classes, conn)), (i, conn)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("conn", [6, 26])
+def test_keep_largest_tie_inside_an_offset_box(order, conn):
+    # class 5's box starts at (2, 1, 3); its two equal components tie, and
+    # the one first in x-fastest scan order inside the box (and the volume)
+    # survives, while class 2 in another box is pruned on its own
+    data = np.zeros((8, 5, 6), dtype=np.uint8)
+    data[4, 3, 3] = data[5, 3, 3] = 5
+    data[2, 1, 5] = data[3, 1, 5] = 5
+    data[0, 0, 0] = data[0, 4, 0] = data[1, 4, 0] = 2
+    data = np.asarray(data, order=order)
+    got = keep_largest(vol(data), classes=(5, 2, 9), connectivity=conn)
+    assert np.array_equal(got.data, _keep_largest_ref(data, (5, 2, 9), conn))
+    assert got.data[4, 3, 3] == 5 and got.data[2, 1, 5] == 0
+    assert got.data[0, 0, 0] == 0 and got.data[0, 4, 0] == 2
