@@ -40,7 +40,6 @@ from .pipeline import (
     reduce_prob_maps,
     run_phase,
     run_pipeline,
-    validate_run,
 )
 from .postprocess import keep_largest
 from .preprocess import clip_normalize
@@ -71,7 +70,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
     work = Path(args.work)
-    report = run_pipeline(manifest, config, work, resume=not args.fresh)
+    report = run_pipeline(manifest, config, work)
     print(f"final labels: {len(report['final_labels'])} case(s) in {work / 'final'}")
     evals = [h["eval"]["mean_dsc"] for h in report["history"] if h.get("eval")]
     if evals:
@@ -83,8 +82,7 @@ def cmd_run(args) -> int:
 def cmd_phase(args) -> int:
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
-    validate_run(manifest, config)
-    state = open_state(Path(args.work), config, resume=not args.fresh)
+    state = open_state(manifest, config, args.work)
     run_phase(state, manifest, config, args.phase)
     last = state.history[-1]
     print(
@@ -322,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", required=True, help="dataset manifest (JSON array of case records)"
     )
     pipelined.add_argument("--work", required=True, help="run directory holding state and outputs")
-    pipelined.add_argument("--fresh", action="store_true", help="ignore any existing state")
 
     parser = argparse.ArgumentParser(
         prog="voxseg",

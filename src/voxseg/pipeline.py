@@ -16,7 +16,10 @@ every stage boundary, plus ``state.json.journal``, which gets one JSON line
 per finished case and is emptied by the next snapshot.  Each snapshot
 names the step that runs next: a round of a phase, the merge, or done.
 Fused files carry content digests so a killed run resumes without
-recomputing finished cases.  Work directory layout:
+recomputing finished cases.  A work directory holds one run:
+``open_state`` resumes it from ``state.json``, or starts it in a directory
+that holds none of the other entries below (``RUN_ENTRIES``), so that no
+round trains on an earlier run's pseudo labels.  Work directory layout:
 
     state.json                      snapshot at the last stage boundary
     state.json.journal              per-case outcomes since that snapshot
@@ -40,6 +43,7 @@ import os
 import re
 import shlex
 import shutil
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +70,9 @@ PHASE_CLASSES = {
     "organ": frozenset(ORGAN_CLASSES),
 }
 MERGE, DONE = "merge", "done"
+
+# what a run writes into its work directory besides state.json
+RUN_ENTRIES = ("state.json.journal", "rounds", "pseudo_tumor", "pseudo_organ", "final", "report.json")
 
 FUSED = "fused"
 FAILED = "failed"
@@ -121,37 +128,37 @@ def _next_step(config: PipelineConfig, phase: str, rnd: int) -> tuple[str, int]:
     return MERGE, 0
 
 
+@dataclass
 class PipelineState:
     """Mutable run state: a JSON snapshot plus an append-only case journal.
 
-    Stage-boundary mutators (and ``persist``) rewrite the snapshot
-    atomically and empty the journal; ``set_case`` appends one line to the
-    journal instead, so recording a case costs the same at any cohort
-    size.  Every write bumps ``persist_count``; ``load`` replays the
-    journal lines numbered past the snapshot's count.  Every mutator
-    writes before returning, so the files on disk never lag behind
-    completed work by more than the step in flight.
+    The fields after ``path`` are the snapshot's keys.  Stage-boundary
+    mutators (and ``persist``) rewrite the snapshot atomically and empty
+    the journal; ``set_case`` appends one line to the journal instead, so
+    recording a case costs the same at any cohort size.  Every write bumps
+    ``persist_count``; ``load`` replays the journal lines numbered past the
+    snapshot's count.  Every mutator writes before returning, so the files
+    on disk never lag behind completed work by more than the step in flight.
     """
 
-    def __init__(self, path, data: dict):
-        self.path = Path(path)
-        self.journal = self.path.with_name(self.path.name + ".journal")
-        self.data = data
+    path: Path
+    version: int
+    phase: str
+    round: int
+    stage: dict  # {"trained": bool, "predicted": bool} for the current round
+    cases: dict
+    history: list
+    persist_count: int
+    config: dict
 
     @classmethod
     def fresh(cls, path, config: PipelineConfig) -> "PipelineState":
         phase, rnd = _next_step(config, next(iter(PHASE_CLASSES)), 0)
-        data = {
-            "version": STATE_VERSION,
-            "phase": phase,
-            "round": rnd,
-            "stage": {"trained": False, "predicted": False},
-            "cases": {},
-            "history": [],
-            "persist_count": 0,
-            "config": config.to_dict(),
-        }
-        state = cls(path, data)
+        state = cls(
+            path=Path(path), version=STATE_VERSION, phase=phase, round=rnd,
+            stage={"trained": False, "predicted": False}, cases={}, history=[],
+            persist_count=0, config=config.to_dict(),
+        )
         # an earlier run's journal numbers its lines past this state's count
         state.journal.unlink(missing_ok=True)
         state.persist()
@@ -163,9 +170,14 @@ class PipelineState:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise PipelineError(f"cannot read state {path}: {exc}") from exc
-        if data.get("version") != STATE_VERSION:
-            raise PipelineError(f"{path}: unsupported state version {data.get('version')!r}")
-        state = cls(path, data)
+        version = data.get("version") if isinstance(data, dict) else None
+        if version != STATE_VERSION:
+            raise PipelineError(f"{path}: unsupported state version {version!r}")
+        keys = set(_SNAPSHOT_KEYS)
+        missing, extra = sorted(keys - set(data)), sorted(set(data) - keys)
+        if missing or extra:
+            raise PipelineError(f"{path}: state snapshot lacks keys {missing}, has unknown keys {extra}")
+        state = cls(path=Path(path), **data)
         state._replay_journal()
         return state
 
@@ -191,80 +203,57 @@ class PipelineState:
                 os.truncate(self.journal, good)
                 return
             good += len(line)
-            if rec["n"] > self.data["persist_count"]:
-                self.data["cases"][rec["case"]] = rec["entry"]
-                self.data["persist_count"] = rec["n"]
+            if rec["n"] > self.persist_count:
+                self.cases[rec["case"]] = rec["entry"]
+                self.persist_count = rec["n"]
 
     @property
-    def work_dir(self) -> Path:
-        return self.path.parent
-
-    @property
-    def phase(self) -> str:
-        return self.data["phase"]
-
-    @property
-    def round(self) -> int:
-        return self.data["round"]
-
-    @property
-    def cases(self) -> dict:
-        return self.data["cases"]
-
-    @property
-    def history(self) -> list:
-        return self.data["history"]
-
-    @property
-    def config_snapshot(self) -> dict:
-        return self.data["config"]
-
-    def stage(self, key: str) -> bool:
-        return bool(self.data["stage"].get(key))
-
-    def case_entry(self, case_id: str) -> dict | None:
-        return self.data["cases"].get(case_id)
+    def journal(self) -> Path:
+        return self.path.with_name(self.path.name + ".journal")
 
     def persist(self) -> None:
         """Write the snapshot and empty the journal it now covers."""
-        self.data["persist_count"] += 1
-        _write_json(self.data, self.path)
+        self.persist_count += 1
+        _write_json({k: getattr(self, k) for k in _SNAPSHOT_KEYS}, self.path)
         self.journal.write_bytes(b"")
         self._crash_hook()
 
     def _crash_hook(self) -> None:
         crash_after = os.environ.get(CRASH_ENV)
-        if crash_after and self.data["persist_count"] == int(crash_after):
+        if crash_after and self.persist_count == int(crash_after):
             log.warning("crash hook: exiting after persist #%s", crash_after)
             os._exit(137)
 
     def mark_trained(self) -> None:
-        self.data["stage"]["trained"] = True
+        self.stage["trained"] = True
         self.persist()
 
     def mark_predicted(self) -> None:
-        self.data["stage"]["predicted"] = True
+        self.stage["predicted"] = True
         self.persist()
 
     def set_case(self, case_id: str, entry: dict) -> None:
-        self.data["cases"][case_id] = entry
-        self.data["persist_count"] += 1
-        line = json.dumps({"n": self.data["persist_count"], "case": case_id, "entry": entry})
+        self.cases[case_id] = entry
+        self.persist_count += 1
+        line = json.dumps({"n": self.persist_count, "case": case_id, "entry": entry})
         with open(self.journal, "a") as fh:
             fh.write(line + "\n")
         self._crash_hook()
 
     def end_round(self, record: dict, config: PipelineConfig) -> None:
-        self.data["history"].append(record)
-        self.data["phase"], self.data["round"] = _next_step(config, self.phase, self.round + 1)
-        self.data["stage"] = {"trained": False, "predicted": False}
-        self.data["cases"] = {}
+        self.history.append(record)
+        self.phase, self.round = _next_step(config, self.phase, self.round + 1)
+        self.stage = {"trained": False, "predicted": False}
+        self.cases = {}
         self.persist()
 
     def finish(self, record: dict) -> None:
-        self.data["history"].append(record)
-        self.data["phase"] = DONE
+        self.history.append(record)
+        self.phase = DONE
         self.persist()
+
+
+_SNAPSHOT_KEYS = tuple(f.name for f in fields(PipelineState) if f.name != "path")
 
 
 def _round_dir(work: Path, phase: str, rnd: int) -> Path:
@@ -543,7 +532,7 @@ def _run_cases(state: PipelineState, records, build, out_dir: Path) -> dict:
     """
     for rec in records:
         path = out_dir / f"{rec.case_id}.nii.gz"
-        entry = state.case_entry(rec.case_id) or {}
+        entry = state.cases.get(rec.case_id, {})
         if entry.get("status") == FUSED and path.exists() and _sha256(path) == entry["digest"]:
             continue
         try:
@@ -596,7 +585,7 @@ def run_phase(
     if not teachers:
         raise PipelineError(f"{phase} phase has no teacher cases annotating its classes")
     students = _student_records(manifest, config, phase)
-    work = state.work_dir
+    work = state.path.parent
     rnd = state.round
     rd = _round_dir(work, phase, rnd)
     (rd / "logs").mkdir(parents=True, exist_ok=True)
@@ -607,7 +596,7 @@ def run_phase(
         "phase %s round %d: %d teacher(s), %d student(s)", phase, rnd, len(teachers), len(students)
     )
 
-    if not state.stage("trained"):
+    if not state.stage["trained"]:
         n = _build_train_dirs(rd, manifest, config, phase, teachers, students)
         model_dir = rd / "model"
         model_dir.mkdir(exist_ok=True)
@@ -620,15 +609,17 @@ def run_phase(
         log.info("trained on %d case(s)", n)
         state.mark_trained()
 
-    if not state.stage("predicted"):
-        _write_predict_inputs(rd, manifest, students, use_tta)
-        (rd / "predict_raw").mkdir(exist_ok=True)
-        _run_command(
-            contract.predict_cmd,
-            {"model_dir": rd / "model", "input_dir": rd / "predict_images", "output_dir": rd / "predict_raw"},
-            rd / "logs" / "predict.log",
-            "predict",
-        )
+    if not state.stage["predicted"]:
+        if students:  # a segmenter may refuse an empty input directory
+            _write_predict_inputs(rd, manifest, students, use_tta)
+            (rd / "predict_raw").mkdir(exist_ok=True)
+            _run_command(
+                contract.predict_cmd,
+                {"model_dir": rd / "model", "input_dir": rd / "predict_images",
+                 "output_dir": rd / "predict_raw"},
+                rd / "logs" / "predict.log",
+                "predict",
+            )
         state.mark_predicted()
 
     prob_maps = index_prob_maps(rd / "predict_raw")
@@ -695,7 +686,7 @@ def run_merge(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
     """Combine per-phase labels (and external sources) into final maps."""
     if state.phase != MERGE:
         raise PipelineError(f"state is in phase {state.phase!r}, not {MERGE!r}")
-    work = state.work_dir
+    work = state.path.parent
     final_dir = work / "final"
     final_dir.mkdir(parents=True, exist_ok=True)
     summary = _run_cases(
@@ -726,6 +717,9 @@ def validate_run(manifest: Manifest, config: PipelineConfig) -> None:
     total_rounds = sum(config.rounds(p) for p in PHASE_CLASSES)
     if total_rounds > 0 and config.segmenter is None:
         raise PipelineError("config.segmenter is required when any phase has rounds > 0")
+    for phase in PHASE_CLASSES:
+        if config.rounds(phase) > 0 and not _teacher_records(manifest, config, phase):
+            raise PipelineError(f"{phase} phase has no teacher cases annotating its classes")
     for rec in manifest.cases:
         if rec.label_path:
             try:
@@ -756,21 +750,28 @@ def _build_report(state: PipelineState) -> dict:
     return {
         "history": state.history,
         "final_labels": finals,
-        "config": state.config_snapshot,
+        "config": state.config,
     }
 
 
-def open_state(work, config: PipelineConfig, resume: bool = True) -> PipelineState:
-    """Resume ``work/state.json`` when ``resume`` is set and the file
-    exists, else start a fresh state there. A saved state may only be
-    resumed under the config it was created with."""
+def open_state(manifest: Manifest, config: PipelineConfig, work) -> PipelineState:
+    """Start or resume the one run ``work`` holds, once ``validate_run``
+    passes: resume ``work/state.json`` under the config it was created
+    with, or start fresh where ``work`` holds none of ``RUN_ENTRIES``, an
+    earlier run's outputs that a round would train on."""
+    validate_run(manifest, config)
     work = Path(work)
-    work.mkdir(parents=True, exist_ok=True)
     state_path = work / "state.json"
-    if not (resume and state_path.exists()):
+    if not state_path.exists():
+        left = [name for name in RUN_ENTRIES if (work / name).exists()]
+        if left:
+            raise PipelineError(
+                f"{work} holds {left[0]} but no state.json; pass an empty or new work directory"
+            )
+        work.mkdir(parents=True, exist_ok=True)
         return PipelineState.fresh(state_path, config)
     state = PipelineState.load(state_path)
-    if state.config_snapshot != config.to_dict():
+    if state.config != config.to_dict():
         raise PipelineError(
             f"{state_path} was created with a different config; "
             "pass a fresh work directory or the original config"
@@ -779,15 +780,14 @@ def open_state(work, config: PipelineConfig, resume: bool = True) -> PipelineSta
     return state
 
 
-def run_pipeline(manifest: Manifest, config: PipelineConfig, work, resume: bool = True) -> dict:
+def run_pipeline(manifest: Manifest, config: PipelineConfig, work) -> dict:
     """Drive all configured phases to completion and write report.json.
 
     Raises PipelineError, after writing the report, when any round or the
     merge recorded a failed case.
     """
-    validate_run(manifest, config)
     work = Path(work)
-    state = open_state(work, config, resume)
+    state = open_state(manifest, config, work)
 
     while state.phase != DONE:
         if state.phase == MERGE:

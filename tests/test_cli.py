@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -47,8 +49,8 @@ def test_help_everywhere(capsys):
 
 # Long options each subcommand accepts; a flag its handler ignores is not offered.
 CLI_SURFACE = {
-    "run": {"--config", "--set", "--manifest", "--work", "--fresh", "--verbose"},
-    "phase": {"--config", "--set", "--manifest", "--work", "--fresh", "--phase", "--verbose"},
+    "run": {"--config", "--set", "--manifest", "--work", "--verbose"},
+    "phase": {"--config", "--set", "--manifest", "--work", "--phase", "--verbose"},
     "fuse": {
         "--config", "--set", "--mode", "--source", "--organ", "--tumor", "--gt", "--pseudo",
         "--classes", "--out", "--verbose",
@@ -635,3 +637,63 @@ def test_phase_cli_refuses_work_from_other_config(fixture_dataset, tmp_path, cap
     assert main(base) == 1
     assert "different config" in capsys.readouterr().err
     assert (work / "state.json").read_text() == before
+
+
+def test_run_cli_refuses_a_used_work_dir_without_state(completed_run, tmp_path, capsys):
+    work = tmp_path / "work"
+    shutil.copytree(completed_run["work"], work)
+    base = ["run",
+            "--manifest", str(completed_run["dataset"]["manifest"]),
+            "--config", str(completed_run["dataset"]["config"]),
+            "--work", str(work)]
+    assert main([*base, "--fresh"]) == 2
+    (work / "state.json").unlink()
+    # a fresh run would train its first round on the earlier run's pseudo labels
+    assert main(base) == 1
+    assert f"error: {work} holds state.json.journal but no state.json" in capsys.readouterr().err
+    assert not (work / "state.json").exists()
+
+
+def _cut_manifest(dataset, tmp_path, case_ids):
+    """A manifest of the fixture's ``case_ids`` only, with absolute paths."""
+    records = [
+        {k: str(dataset["root"] / v) if k.endswith("_path") else v for k, v in rec.items()}
+        for rec in json.loads(dataset["manifest"].read_text()) if rec["case_id"] in case_ids
+    ]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(records))
+    return path
+
+
+def test_run_with_no_students_launches_no_predict(fixture_dataset, tmp_path, capsys):
+    # case_a and case_b both annotate the tumor, so its round has no student
+    work = tmp_path / "work"
+    code = main([
+        "run",
+        "--manifest", str(_cut_manifest(fixture_dataset, tmp_path, {"case_a", "case_b"})),
+        "--config", str(fixture_dataset["config"]),
+        "--work", str(work),
+        "--set", "rounds_tumor=1", "--set", "rounds_organ=0", "--set", "eval_cases=[]",
+        "--set", "tta=false",
+    ])
+    assert code == 0, capsys.readouterr().err
+    record = json.loads((work / "report.json").read_text())["history"][0]
+    assert (record["phase"], record["students"], record["fused"]) == ("tumor", 0, 0)
+    assert os.listdir(work / "rounds" / "tumor_r0" / "logs") == ["train.log"]
+    # writes: fresh, trained, predicted, end_round, two merged cases, finish
+    assert json.loads((work / "state.json").read_text())["persist_count"] == 7
+
+
+def test_run_rejects_a_phase_without_teachers_before_any_work(fixture_dataset, tmp_path, capsys):
+    # case_b annotates only the tumor, and case_d and case_e nothing
+    work = tmp_path / "work"
+    code = main([
+        "run",
+        "--manifest", str(_cut_manifest(fixture_dataset, tmp_path, {"case_b", "case_d", "case_e"})),
+        "--config", str(fixture_dataset["config"]),
+        "--work", str(work),
+        "--set", "rounds_tumor=1", "--set", "rounds_organ=1", "--set", "eval_cases=[]",
+    ])
+    assert code == 1
+    assert "error: organ phase has no teacher cases annotating its classes" in capsys.readouterr().err
+    assert not (work / "rounds").exists()

@@ -4,6 +4,7 @@ import re
 import shlex
 import shutil
 import sys
+import textwrap
 from pathlib import Path
 import weakref
 from dataclasses import replace
@@ -75,10 +76,33 @@ def test_state_roundtrip(tmp_path):
     config = PipelineConfig()
     state = PipelineState.fresh(tmp_path / "state.json", config)
     assert state.phase == "tumor" and state.round == 0
-    assert not state.stage("trained")
+    assert not state.stage["trained"]
     back = PipelineState.load(tmp_path / "state.json")
-    assert back.data == state.data
-    assert back.config_snapshot == json.loads(json.dumps(config.to_dict()))
+    assert back == state
+    assert back.config == json.loads(json.dumps(config.to_dict()))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda data: data.pop("stage"), r"lacks keys \['stage'\], has unknown keys \[\]$"),
+    (lambda data: data.update(workers=2), r"lacks keys \[\], has unknown keys \['workers'\]$"),
+], ids=["missing", "unknown"])
+def test_state_load_names_a_missing_or_unknown_key(tmp_path, edit, named):
+    path = tmp_path / "state.json"
+    PipelineState.fresh(path, PipelineConfig())
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(PipelineError, match=named):
+        PipelineState.load(path)
+
+
+@pytest.mark.parametrize("entry", pipeline.RUN_ENTRIES)
+def test_open_state_refuses_an_earlier_runs_entry_without_state(fixture_dataset, tmp_path, entry):
+    manifest, config = _load(fixture_dataset)
+    (tmp_path / entry).mkdir()
+    with pytest.raises(PipelineError, match=rf"holds {re.escape(entry)} but no state.json"):
+        pipeline.open_state(manifest, config, tmp_path)
+    assert os.listdir(tmp_path) == [entry]
 
 
 def test_state_version_and_missing(tmp_path):
@@ -89,7 +113,10 @@ def test_state_version_and_missing(tmp_path):
     data = json.loads(path.read_text())
     data["version"] = 99
     path.write_text(json.dumps(data))
-    with pytest.raises(PipelineError, match="state version"):
+    with pytest.raises(PipelineError, match="state version 99$"):
+        PipelineState.load(path)
+    path.write_text("[]")
+    with pytest.raises(PipelineError, match="state version None$"):
         PipelineState.load(path)
 
 
@@ -100,11 +127,11 @@ def test_state_mutators_persist(tmp_path):
     state.set_case("x", {"status": FUSED, "digest": "d"})
     ondisk = json.loads((tmp_path / "state.json").read_text())
     assert ondisk["stage"] == {"trained": True, "predicted": True}
-    resumed = PipelineState.load(tmp_path / "state.json").data
-    assert resumed["cases"] == {"x": {"status": FUSED, "digest": "d"}}
-    assert resumed["persist_count"] == 4
+    resumed = PipelineState.load(tmp_path / "state.json")
+    assert resumed.cases == {"x": {"status": FUSED, "digest": "d"}}
+    assert resumed.persist_count == 4
     state.end_round({"phase": "tumor", "round": 0}, PipelineConfig())
-    assert state.round == 1 and state.cases == {} and not state.stage("trained")
+    assert state.round == 1 and state.cases == {} and not state.stage["trained"]
 
 
 def test_fresh_state_names_the_first_configured_round(tmp_path):
@@ -142,8 +169,8 @@ def test_journal_replays_cases_after_snapshot(tmp_path):
         {"n": 3, "case": "x", "entry": {"status": FUSED, "digest": "d"}}
     ]
     back = PipelineState.load(path)
-    assert back.data == state.data
-    assert back.data["persist_count"] == 3
+    assert back == state
+    assert back.persist_count == 3
 
 
 def test_journal_ignores_torn_last_line(tmp_path):
@@ -155,13 +182,13 @@ def test_journal_ignores_torn_last_line(tmp_path):
         good = state.journal.read_bytes()
         state.journal.write_bytes(good + torn)  # undecodable, then unterminated
         back = PipelineState.load(path)
-        assert back.data == state.data
+        assert back == state
         assert state.journal.read_bytes() == good  # the torn tail is cut off
     # appends after the cut start on their own line and replay too
     back.set_case("y", {"status": "failed", "error": "e"})
     again = PipelineState.load(path)
     assert again.cases["y"] == {"status": "failed", "error": "e"}
-    assert again.data["persist_count"] == 4
+    assert again.persist_count == 4
 
 
 def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
@@ -175,7 +202,7 @@ def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
     # a kill between the snapshot's replace and the truncation leaves old lines
     state.journal.write_bytes(stale + b'{"n": 4, "case": "y", "entry": {"status": "bogus"}}\n')
     back = PipelineState.load(path)
-    assert back.data == state.data
+    assert back == state
     assert back.cases == {"x": {"status": FUSED, "digest": "d"}}
 
 
@@ -188,9 +215,9 @@ def test_journal_count_continues_across_load(tmp_path):
     back.set_case("y", {"status": FUSED, "digest": "e"})
     assert [line["n"] for line in _journal_lines(back)] == [3, 4]
     back.mark_predicted()
-    assert back.data["persist_count"] == 5
+    assert back.persist_count == 5
     assert json.loads(path.read_text())["persist_count"] == 5
-    assert PipelineState.load(path).data == back.data
+    assert PipelineState.load(path) == back
 
 
 def test_crash_hook_fires_on_journal_append(tmp_path, monkeypatch):
@@ -396,7 +423,7 @@ def test_nonzero_exit_aborts_round_with_state_intact(fixture_dataset, tmp_path):
         run_phase(state, manifest, config, "tumor")
     ondisk = PipelineState.load(tmp_path / "state.json")
     assert ondisk.phase == "tumor" and ondisk.round == 0
-    assert not ondisk.stage("trained") and ondisk.cases == {}
+    assert not ondisk.stage["trained"] and ondisk.cases == {}
     log_text = (tmp_path / "rounds" / "tumor_r0" / "logs" / "train.log").read_text()
     assert "SystemExit" in log_text or "$ " in log_text
 
@@ -575,14 +602,14 @@ def test_resume_rejects_changed_config(completed_run):
 
 def test_resume_rejects_a_snapshot_with_a_normalization_section(fixture_dataset, tmp_path):
     # work dirs made while the config had a ``normalization`` section do not resume
-    config = load_config(fixture_dataset["config"])
-    state = pipeline.open_state(tmp_path, config)
+    manifest, config = _load(fixture_dataset)
+    state = pipeline.open_state(manifest, config, tmp_path / "old")
     data = json.loads(state.path.read_text())
     data["config"]["normalization"] = {"clip_lo": -970.0, "clip_hi": 279.0, "mean": 80.3, "std": 141.4}
     state.path.write_text(json.dumps(data))
     with pytest.raises(PipelineError, match="created with a different config"):
-        pipeline.open_state(tmp_path, config)
-    assert pipeline.open_state(tmp_path, config, resume=False).config_snapshot == config.to_dict()
+        pipeline.open_state(manifest, config, tmp_path / "old")
+    assert pipeline.open_state(manifest, config, tmp_path / "new").config == config.to_dict()
 
 
 def test_validate_run_guards(fixture_dataset, tmp_path):
@@ -741,7 +768,7 @@ def test_merge_failure_is_recorded_and_others_finish(fixture_dataset, tmp_path):
 
     # the report is written before the error is raised
     report = json.loads((tmp_path / "work" / "report.json").read_text())
-    entry = PipelineState.load(tmp_path / "work" / "state.json").case_entry("case_d")
+    entry = PipelineState.load(tmp_path / "work" / "state.json").cases["case_d"]
     assert entry["status"] == "failed"
     # the external map is read on the case's own grid, and the error names its file
     assert entry["error"] == "dim mismatch: image (24, 24, 16) vs case_d.nii.gz (2, 2, 2)", entry["error"]
@@ -767,7 +794,7 @@ def test_external_map_on_another_spacing_fails_that_case(fixture_dataset, tmp_pa
     )
     with pytest.raises(PipelineError, match=r"merge: case_d$"):
         run_pipeline(manifest, config, tmp_path / "work")
-    error = PipelineState.load(tmp_path / "work" / "state.json").case_entry("case_d")["error"]
+    error = PipelineState.load(tmp_path / "work" / "state.json").cases["case_d"]["error"]
     assert error == "spacing mismatch: image (1.0, 1.0, 2.5) mm vs case_d.nii.gz (3.0, 3.0, 3.0) mm", error
     assert not (tmp_path / "work" / "final" / "case_d.nii.gz").exists()
 
@@ -785,7 +812,7 @@ def test_merge_digest_skip_and_redo(fixture_dataset, tmp_path):
     # tamper with one final map, then rewind the state to the merge stage
     save_nifti(make_label(()), final / "case_a.nii.gz")
     state = PipelineState.load(work / "state.json")
-    state.data["phase"] = MERGE
+    state.phase = MERGE
     state.persist()
     run_merge(state, manifest, config)
 
@@ -867,11 +894,14 @@ def test_resume_after_the_last_tumor_round(completed_run, tmp_path, monkeypatch)
 
 
 def _readme_work_tree():
-    """``(top level, round dir)`` names in README's "Work directory" tree;
-    ``a/ b/`` on one line names both, and indented lines belong to
-    ``rounds/<phase>_r<k>/``."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
-    block = text.split("\n### Work directory\n", 1)[1].split("```\n", 2)[1]
+    return _work_tree(text.split("\n### Work directory\n", 1)[1].split("```\n", 2)[1])
+
+
+def _work_tree(block):
+    """``(top level, round dir)`` names in a work-directory tree; ``a/ b/``
+    on one line names both, and indented lines belong to
+    ``rounds/<phase>_r<k>/``."""
     top, rnd = set(), set()
     for line in block.splitlines():
         names = re.split(r"\s{2,}", line.strip())[0].split()
@@ -887,6 +917,14 @@ def test_readme_work_tree_names_what_a_run_leaves(completed_run):
     assert sorted(os.listdir(rounds)) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
     for name in os.listdir(rounds):
         assert set(os.listdir(rounds / name)) == rnd, name
+
+
+def test_work_tree_docs_list_the_run_entries():
+    want = {"state.json", *pipeline.RUN_ENTRIES}
+    readme, _ = _readme_work_tree()
+    docstring, _ = _work_tree(textwrap.dedent(pipeline.__doc__.split("Work directory layout:\n", 1)[1]))
+    for top in (readme, docstring):
+        assert {name.split("/")[0] for name in top} == want
 
 
 def _dataset_with_label(fixture_dataset, tmp_path, label: Volume):
