@@ -7,7 +7,10 @@ maps are checked against the wire contract and reduced one class at a
 time), keep the largest component per configured class, and persist the
 fused pseudo labels.  A final merge stage combines the per-phase labels
 (plus any external pseudo-label sources) into complete 14-class maps and
-overlays each case's ground truth.  Cases run one at a time, in manifest
+overlays each case's ground truth.  A round's predict inputs depend on no
+model, so one worker thread stages them while ``train_cmd`` runs and the
+calling thread only waits on it; a round resumed after its train stages
+them on the calling thread.  Cases still fuse one at a time, in manifest
 order, on the calling thread.  A case's grid is its image's header: every
 map read is checked against it and every map written is built on it.
 
@@ -43,6 +46,8 @@ import os
 import re
 import shlex
 import shutil
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -336,10 +341,13 @@ def _tta_bases(case_id: str, use_tta: bool) -> list[tuple[FlipSpec, str]]:
 
 
 def _write_predict_inputs(
-    rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool
+    rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool, stop: threading.Event
 ) -> None:
+    """Stage each student's predict inputs in turn, until ``stop`` is set."""
     img_dir = _fresh_dir(rd / "predict_images")
     for rec in students:
+        if stop.is_set():
+            return
         src = manifest.image_file(rec)
         if not use_tta:
             shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
@@ -596,22 +604,38 @@ def run_phase(
         "phase %s round %d: %d teacher(s), %d student(s)", phase, rnd, len(teachers), len(students)
     )
 
+    staging = None
     if not state.stage["trained"]:
         n = _build_train_dirs(rd, manifest, config, phase, teachers, students)
         model_dir = rd / "model"
         model_dir.mkdir(exist_ok=True)
-        _run_command(
-            contract.train_cmd,
-            {"train_dir": rd / "train_images", "label_dir": rd / "train_labels", "model_dir": model_dir},
-            rd / "logs" / "train.log",
-            "train",
-        )
+        # the predict inputs do not depend on the model, so one worker
+        # stages them while the train runs; until the pool has ended, this
+        # thread only waits on the train command
+        stop = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            if students:  # a segmenter may refuse an empty input directory
+                staging = pool.submit(_write_predict_inputs, rd, manifest, students, use_tta, stop)
+            try:
+                _run_command(
+                    contract.train_cmd,
+                    {"train_dir": rd / "train_images", "label_dir": rd / "train_labels",
+                     "model_dir": model_dir},
+                    rd / "logs" / "train.log",
+                    "train",
+                )
+            except BaseException:
+                stop.set()  # the student in flight finishes, the rest are dropped
+                raise
         log.info("trained on %d case(s)", n)
         state.mark_trained()
+        if staging is not None:
+            staging.result()  # a staging error is raised once `trained` is saved
 
     if not state.stage["predicted"]:
-        if students:  # a segmenter may refuse an empty input directory
-            _write_predict_inputs(rd, manifest, students, use_tta)
+        if students:
+            if staging is None:  # resumed after the train
+                _write_predict_inputs(rd, manifest, students, use_tta, threading.Event())
             (rd / "predict_raw").mkdir(exist_ok=True)
             _run_command(
                 contract.predict_cmd,
