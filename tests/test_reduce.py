@@ -1,5 +1,6 @@
-"""The class-major TTA reduction ``pipeline.reduce_prob_maps``: the labels of
-``argmax_labels(aggregate(...))``, the wire-contract checks, and memory."""
+"""The class-major TTA reduction ``pipeline.reduce_prob_maps``: labels that
+are the argmax of the float64 flip means (the lower class keeps an exact
+tie), the wire-contract checks, and memory."""
 import tracemalloc
 import weakref
 
@@ -10,8 +11,8 @@ from voxseg import pipeline
 from voxseg.errors import VoxsegError
 from voxseg.nifti import save_nifti
 from voxseg.pipeline import index_prob_maps, reduce_prob_maps
-from voxseg.tta import FlipSpec, aggregate, argmax_labels, enumerate_flips
-from voxseg.volume import PROB_TOL, ProbMap, Spacing, Volume
+from voxseg.tta import FlipSpec, enumerate_flips
+from voxseg.volume import PROB_TOL, Spacing, Volume
 
 SPACING = Spacing(0.8, 0.8, 2.5)
 
@@ -25,15 +26,14 @@ def _write_case(directory, case_id, maps, order="C"):
             save_nifti(Volume(data, SPACING), directory / f"{base}_prob_{c}.nii.gz")
 
 
-def _reference(flips, maps, order="C"):
-    """Today's flip-major labels: ``argmax_labels(aggregate(...))`` over
-    in-memory maps whose channels have the given memory order."""
-    entries = []
-    for spec, (classes, probs) in zip(flips, maps):
-        if order == "F":
-            probs = np.stack([np.asfortranarray(ch) for ch in probs])  # channels x-fastest
-        entries.append((spec, ProbMap(probs, classes, SPACING)))
-    return argmax_labels(aggregate(entries)).data
+def _reference(flips, maps):
+    """Flip-major labels of in-memory maps: each class's unflipped float64
+    maps summed in flip order and divided by the flip count, then the
+    argmax over classes, whose first maximum is the lowest class."""
+    classes = maps[0][0]
+    sums = sum(np.flip(probs, axis=tuple(a + 1 for a in spec.axes)).astype(np.float64)
+               for spec, (_, probs) in zip(flips, maps))
+    return np.asarray(classes, dtype=np.uint8)[np.argmax(sums / len(flips), axis=0)]
 
 
 def _random_maps(rng, n_flips, classes, dims, quantized):
@@ -55,27 +55,10 @@ def _reduce(directory, case_id, use_tta):
     return reduce_prob_maps(index_prob_maps(directory), directory, case_id, use_tta)
 
 
-@pytest.fixture
-def aggregate_calls(monkeypatch):
-    """Record the (C, nx, ny, nz) shape of each map the near-tie fallback
-    passes to ``aggregate``."""
-    shapes = []
-
-    def recording(entries):
-        def seen():
-            for spec, prob in entries:
-                shapes.append(prob.probs.shape)
-                yield spec, prob
-        return aggregate(seen())
-
-    monkeypatch.setattr(pipeline, "aggregate", recording)
-    return shapes
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("use_tta", [False, True])
 @pytest.mark.parametrize("n_classes", [2, 5, 14])
-def test_bit_identical_to_flip_major_reduction(tmp_path, aggregate_calls, n_classes, use_tta, order):
+def test_bit_identical_to_flip_major_reduction(tmp_path, n_classes, use_tta, order):
     rng = np.random.default_rng(1000 * n_classes + 10 * use_tta + (order == "F"))
     classes = (0, *sorted(rng.choice(np.arange(1, 15), n_classes - 1, replace=False).tolist()))
     flips = enumerate_flips() if use_tta else [FlipSpec()]
@@ -87,9 +70,7 @@ def test_bit_identical_to_flip_major_reduction(tmp_path, aggregate_calls, n_clas
         labels = _reduce(case_dir, "case", use_tta)
         assert labels.spacing.close_to(SPACING)
         assert labels.data.flags.f_contiguous
-        assert np.array_equal(labels.data, _reference(flips, maps, order))
-    # exact ties are settled in the one pass; only near ties need the fallback
-    assert aggregate_calls == []
+        assert np.array_equal(labels.data, _reference(flips, maps))
 
 
 def _segmenter_outputs(canonical):
@@ -104,9 +85,9 @@ def _segmenter_outputs(canonical):
 def _near_tie_maps(dims, tie_voxel=None):
     """Classes (0, 14) over 8 flips: class 14 is 0.5 in seven flips and the
     next float32 above 0.5 in one, background is 1 - p.  Its float64 mean
-    beats background's, but the renormalised float32 means tie, so the
-    flip-major reduction labels the voxel 0.  With ``tie_voxel`` only that
-    voxel is tied; elsewhere class 14 is 0.25 or 0.75."""
+    beats background's by 2**-26, while the renormalised float32
+    means of ``tta.aggregate`` tie.  With ``tie_voxel`` only that voxel is
+    near a tie; elsewhere class 14 is 0.25 or 0.75."""
     canonical = []
     for k in range(8):
         p = np.full(dims, 0.5, dtype=np.float32)
@@ -119,21 +100,16 @@ def _near_tie_maps(dims, tie_voxel=None):
     return _segmenter_outputs(canonical)
 
 
-def test_near_tie_takes_the_fallback_and_keeps_the_lower_class(tmp_path, aggregate_calls):
+def test_near_tie_goes_to_the_larger_float64_mean(tmp_path):
     maps = _near_tie_maps((2, 3, 2))
     flips = enumerate_flips()
     _write_case(tmp_path, "tie", maps)
-    # the plain float64 argmax disagrees here
-    means = [sum(np.flip(m[1][i], axis=s.axes).astype(np.float64) for s, m in zip(flips, maps)) / 8
-             for i in (0, 1)]
-    assert (means[1] > means[0]).all()
     labels = _reduce(tmp_path, "tie", True)
-    assert (labels.data == 0).all()
+    assert (labels.data == 14).all()
     assert np.array_equal(labels.data, _reference(flips, maps))
-    assert aggregate_calls == [(2, 12, 1, 1)] * 8
 
 
-def test_near_tie_that_a_later_class_overtakes_needs_no_fallback(tmp_path, aggregate_calls):
+def test_near_tie_that_a_later_class_overtakes_needs_no_fallback(tmp_path):
     # class 5 takes over from background by a hair, then class 14 wins clearly
     canonical = []
     for k in range(8):
@@ -143,21 +119,19 @@ def test_near_tie_that_a_later_class_overtakes_needs_no_fallback(tmp_path, aggre
     maps = _segmenter_outputs(canonical)
     _write_case(tmp_path, "later", maps)
     assert (_reduce(tmp_path, "later", True).data == 14).all()
-    assert aggregate_calls == []
 
 
-def test_single_flagged_voxel_is_recomputed_alone(tmp_path, aggregate_calls):
+def test_single_near_tie_voxel_goes_to_the_larger_float64_mean(tmp_path):
     maps = _near_tie_maps((3, 4, 2), tie_voxel=(1, 2, 1))
     flips = enumerate_flips()
     _write_case(tmp_path, "one", maps)
     labels = _reduce(tmp_path, "one", True)
     want = _reference(flips, maps)
-    assert want[1, 2, 1] == 0 and (want == 14).any()
+    assert want[1, 2, 1] == 14 and (want == 0).any()
     assert np.array_equal(labels.data, want)
-    assert aggregate_calls == [(2, 1, 1, 1)] * 8
 
 
-def test_fallback_on_fourteen_classes_matches_full_volume(tmp_path, aggregate_calls):
+def test_near_ties_on_fourteen_classes_go_to_the_larger_float64_mean(tmp_path):
     # near ties between classes 3 and 9 at a few voxels of a 14-class map
     rng = np.random.default_rng(7)
     classes = tuple(range(14))
@@ -170,8 +144,9 @@ def test_fallback_on_fourteen_classes_matches_full_volume(tmp_path, aggregate_ca
         probs[9, tied] = np.nextafter(np.float32(0.4), np.float32(1)) if k == 2 else np.float32(0.4)
     maps = _segmenter_outputs(canonical)
     _write_case(tmp_path, "c14", maps)
-    assert np.array_equal(_reduce(tmp_path, "c14", True).data, _reference(flips, maps))
-    assert aggregate_calls == [(14, int(tied.sum()), 1, 1)] * 8
+    labels = _reduce(tmp_path, "c14", True).data
+    assert (labels[tied] == 9).all()
+    assert np.array_equal(labels, _reference(flips, maps))
 
 
 def test_loads_class_major_one_channel_alive_at_a_time(tmp_path, monkeypatch):
