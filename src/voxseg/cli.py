@@ -413,10 +413,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VoxsegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VoxsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ManifestError
+from .tta import PROB_INFIX, TTA_INFIX
 from .volume import ORGAN_CLASSES, TUMOR_CLASS
 
 log = logging.getLogger(__name__)
@@ -19,7 +20,7 @@ log = logging.getLogger(__name__)
 STATUSES = ("full", "tumor_only", "organ_only", "unlabeled")
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_\-]*$")
 # substrings reserved by the segmenter wire format
-_RESERVED = ("_prob_", "__tta")
+_RESERVED = (PROB_INFIX, TTA_INFIX)
 # the annotated classes each status implies; organ_only names its own
 _STATUS_CLASSES = {
     "full": frozenset(ORGAN_CLASSES) | {TUMOR_CLASS},

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SegmenterError
 from .nifti import load_nifti, nifti_files, save_nifti
-from .tta import argmax_labels
+from .tta import PROB_INFIX, argmax_labels
 from .volume import ProbMap, Volume, check_labelmap
 
 log = logging.getLogger(__name__)
@@ -138,7 +138,7 @@ def predict(model_dir, input_dir, output_dir, mode: str = "probabilities") -> li
         else:
             for i, c in enumerate(prob.classes):
                 chan = Volume(np.ascontiguousarray(prob.probs[i]), prob.spacing)
-                save_nifti(chan, output_dir / f"{case}_prob_{c}.nii.gz")
+                save_nifti(chan, output_dir / f"{case}{PROB_INFIX}{c}.nii.gz")
         done.append(case)
     log.info("mock predict: %d cases -> %s (%s)", len(done), output_dir, mode)
     return done

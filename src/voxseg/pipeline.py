@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import PipelineError, SegmenterError, VoxsegError
+from .errors import NiftiError, PipelineError, SegmenterError, VoxsegError
 from .fusion import PartialLabel, majority_vote, merge_organ_tumor, merge_partial
 from .manifest import CaseRecord, Manifest
 from .metrics import aggregate_cohort, evaluate_case
@@ -62,7 +62,7 @@ from .monitor import sample_run, split_command
 from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
 from . import tta
-from .tta import FlipSpec, apply_flip, enumerate_flips
+from .tta import PROB_INFIX, TTA_INFIX, FlipSpec, apply_flip, enumerate_flips, flip_mean, label_argmax
 from .volume import (
     ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, Volume, check_labelmap, check_same_grid, labelmap_like,
 )
@@ -90,7 +90,7 @@ STATE_VERSION = 1
 # (snapshot or journal append)
 CRASH_ENV = "VOXSEG_CRASH_AFTER"
 
-_PROB_TAIL = re.compile(r"_prob_(\d+)$")
+_PROB_TAIL = re.compile(rf"{PROB_INFIX}(\d+)$")
 
 
 def _sha256(path) -> str:
@@ -337,26 +337,35 @@ def _tta_bases(case_id: str, use_tta: bool) -> list[tuple[FlipSpec, str]]:
     for the 8 flips under TTA, else the case id with the identity flip."""
     if not use_tta:
         return [(FlipSpec(), case_id)]
-    return [(spec, f"{case_id}__tta{spec.tag}") for spec in enumerate_flips()]
+    return [(spec, f"{case_id}{TTA_INFIX}{spec.tag}") for spec in enumerate_flips()]
 
 
 def _write_predict_inputs(
     rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool, stop: threading.Event
-) -> None:
-    """Stage each student's predict inputs in turn, until ``stop`` is set."""
+) -> dict[str, str]:
+    """Stage each student's predict inputs in turn, until ``stop`` is set;
+    returns ``{case_id: error}`` for the students whose image cannot be
+    read, for which nothing is staged.  A write error is raised."""
     img_dir = _fresh_dir(rd / "predict_images")
+    unreadable = {}
     for rec in students:
         if stop.is_set():
-            return
+            break
         src = manifest.image_file(rec)
-        if not use_tta:
-            shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
+        try:
+            image = load_nifti(src) if use_tta else src.read_bytes()
+        except (NiftiError, OSError) as exc:
+            log.warning("case %s: cannot read its image: %s", rec.case_id, exc)
+            unreadable[rec.case_id] = str(exc)
             continue
-        image = load_nifti(src)
+        if not use_tta:
+            (img_dir / f"{rec.case_id}{_ext(src)}").write_bytes(image)
+            continue
         # stored gzip: the segmenter reads each flip once, so compressing
         # it would cost more time than it saves
         for spec, base in _tta_bases(rec.case_id, True):
             save_nifti(apply_flip(image, spec), img_dir / f"{base}.nii.gz", level=0)
+    return unreadable
 
 
 def index_prob_maps(raw_dir: Path) -> dict[str, dict[int, Path]]:
@@ -411,30 +420,19 @@ def _load_on_grid(path: Path, ref: Volume, ref_name: str) -> Volume:
     return vol
 
 
-def _class_mean(flips, class_id: int, grid: Volume, grid_name: str) -> np.ndarray:
-    """Float64 mean of one class's unflipped maps, added in flip order;
-    each map is loaded, added and freed before the next is loaded."""
-    acc = np.zeros(grid.dims, order="F")
-    for spec, paths in flips:
-        acc += _load_on_grid(paths[class_id], grid, grid_name).data[spec.reverse]
-    acc /= len(flips)
-    return acc
-
-
 def reduce_prob_maps(
     index: dict, raw_dir: Path, case_id: str, use_tta: bool, grid: Volume | None = None
 ) -> Volume:
     """Labels of one case from its (flipped) probability maps, one class
     at a time, checking them against the wire contract.
 
-    Each class's maps are averaged over the flips into one float64 volume
-    (``_class_mean``), which is added to a per-voxel sum and folded into a
-    running best and label; the comparison is strict, so the lower class
-    keeps a tie.  The case thus holds a few volumes, not (C, nx, ny, nz)
-    arrays.  ``grid`` is the header every map must match and the labels
-    get: the student image's, or by default the first flip's background map's.
-    Every flip must carry the same classes, including background 0; each
-    class mean must lie in [0, 1] and the per-voxel sum must be 1, both
+    Each class's maps are loaded in flip order into one float64 mean
+    (``tta.flip_mean``), added to a per-voxel sum and folded into the labels
+    (``tta.label_argmax``), so the case holds a few volumes, not (C, nx, ny,
+    nz) arrays.  ``grid`` is the header every map must match and the labels
+    get: the student image's, or by default the first flip's background
+    map's.  Every flip must carry the same classes, including background 0;
+    each class mean must lie in [0, 1] and the per-voxel sum must be 1, both
     within ``PROB_TOL``.
     """
     flips, classes = _case_prob_paths(index, raw_dir, case_id, use_tta)
@@ -442,27 +440,22 @@ def reduce_prob_maps(
     if grid is None:
         grid_name = flips[0][1][0].name
         grid = peek_nifti(flips[0][1][0])
-    dims = grid.dims
-    total = np.zeros(dims, order="F")
-    labels = np.zeros(dims, dtype=np.uint8, order="F")  # class 0 is background
-    best = None
-    for c in classes:
-        mean = _class_mean(flips, c, grid, grid_name)
-        lo, hi = mean.min(), mean.max()
-        if lo < -PROB_TOL or hi > 1 + PROB_TOL:
-            raise VoxsegError(
-                f"probability maps for {case_id!r}: class {c} averages {lo:.6g}..{hi:.6g}, "
-                "outside [0, 1]"
-            )
-        total += mean
-        if best is None:
-            best = mean
-            continue
-        wins = mean > best  # strict: the lower class keeps a tie
-        # c exceeds every earlier class id, and masked copies are slow
-        np.maximum(labels, wins * np.uint8(c), out=labels)
-        np.maximum(best, mean, out=best)
-        del mean, wins  # freed before the next class is read
+    total = np.zeros(grid.dims, order="F")
+
+    def class_means():
+        for c in classes:
+            mean = flip_mean((s, _load_on_grid(paths[c], grid, grid_name).data) for s, paths in flips)
+            lo, hi = mean.min(), mean.max()
+            if lo < -PROB_TOL or hi > 1 + PROB_TOL:
+                raise VoxsegError(
+                    f"probability maps for {case_id!r}: class {c} averages {lo:.6g}..{hi:.6g}, "
+                    "outside [0, 1]"
+                )
+            np.add(total, mean, out=total)
+            yield c, mean
+            del mean  # freed before the next class is read
+
+    labels = label_argmax(class_means())
     lo, hi = total.min(), total.max()
     if lo < 1 - PROB_TOL or hi > 1 + PROB_TOL:
         raise VoxsegError(
@@ -600,13 +593,19 @@ def run_phase(
                 raise
         log.info("trained on %d case(s)", n)
         state.mark_trained()
-        if staging is not None:
-            staging.result()  # a staging error is raised once `trained` is saved
 
+    if not state.stage["predicted"] and students:
+        state.cases.clear()  # until predicted, a round records only its staging's read failures
+        if staging is None:  # resumed after the train
+            unreadable = _write_predict_inputs(rd, manifest, students, use_tta, threading.Event())
+        else:  # a staging write error is raised once `trained` is saved
+            unreadable = staging.result()
+        for case_id, error in unreadable.items():
+            state.set_case(case_id, {"status": FAILED, "error": error, "unread": True})
+    # a student whose image cannot be read is neither predicted nor fused, also on resume
+    readable = [rec for rec in students if "unread" not in state.cases.get(rec.case_id, {})]
     if not state.stage["predicted"]:
-        if students:
-            if staging is None:  # resumed after the train
-                _write_predict_inputs(rd, manifest, students, use_tta, threading.Event())
+        if readable:
             (rd / "predict_raw").mkdir(exist_ok=True)
             _run_command(
                 contract.predict_cmd,
@@ -619,7 +618,7 @@ def run_phase(
 
     prob_maps = index_prob_maps(rd / "predict_raw")
     summary = _run_cases(
-        state, students,
+        state, readable,
         lambda rec: _process_case(rec, manifest, config, phase, rd, prob_maps),
         store,
     )

@@ -1,10 +1,11 @@
-"""Flip-based test-time augmentation: enumerate axis flips, undo them on
-returned probability maps, and average.
+"""Flip-based test-time augmentation: enumerate axis flips, apply them, and
+reduce the returned probability maps to labels.
 
-The pipeline does not call ``aggregate`` or ``argmax_labels``: it labels a
-TTA case with the argmax of the float64 flip means, read from files one
-class at a time (``pipeline.reduce_prob_maps``).  The two agree except
-where float32 rounding of the renormalised means reorders two classes."""
+The one place that undoes a flip, averages flips (``flip_mean``) and takes
+the argmax (``label_argmax``), on streams: ``pipeline.reduce_prob_maps``
+reads maps one class at a time, ``aggregate`` and ``argmax_labels`` take
+them in memory, and both label a voxel with the argmax of its float64 flip
+means, the lower class winning an exact tie."""
 from __future__ import annotations
 
 from collections.abc import Iterable
@@ -14,6 +15,9 @@ import numpy as np
 
 from .errors import VoxsegError
 from .volume import ProbMap, Volume, check_labelmap
+
+TTA_INFIX = "__tta"  # wire name <case>__tta<k>: the input flipped by the spec tagged k
+PROB_INFIX = "_prob_"  # wire name <base>_prob_<c>: a prediction's class-c map
 
 
 @dataclass(frozen=True)
@@ -25,13 +29,9 @@ class FlipSpec:
     flip_z: bool = False
 
     @property
-    def axes(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate((self.flip_x, self.flip_y, self.flip_z)) if f)
-
-    @property
     def reverse(self) -> tuple[slice, slice, slice]:
         """Index that views an (nx, ny, nz) array with this spec's axes
-        reversed; the same view as ``np.flip``, made faster."""
+        reversed; ``(..., *reverse)`` does so for any leading axes."""
         flags = (self.flip_x, self.flip_y, self.flip_z)
         return tuple(slice(None, None, -1 if f else 1) for f in flags)
 
@@ -50,8 +50,8 @@ def enumerate_flips() -> list[FlipSpec]:
 
 
 def flip_array(data: np.ndarray, spec: FlipSpec) -> np.ndarray:
-    """Axis-reversed copy of ``data`` in the same memory layout."""
-    return np.flip(data, axis=spec.axes).copy(order="K")
+    """Axis-reversed copy of a (…, nx, ny, nz) array in the same memory layout."""
+    return data[(..., *spec.reverse)].copy(order="K")
 
 
 def apply_flip(vol: Volume, spec: FlipSpec) -> Volume:
@@ -59,58 +59,76 @@ def apply_flip(vol: Volume, spec: FlipSpec) -> Volume:
     return vol.with_data(flip_array(vol.data, spec))
 
 
-def _channel_axes(spec: FlipSpec) -> tuple[int, ...]:
-    """``spec``'s axes in a (C, nx, ny, nz) probability array."""
-    return tuple(a + 1 for a in spec.axes)
-
-
 def apply_flip_prob(prob: ProbMap, spec: FlipSpec) -> ProbMap:
-    flipped = np.flip(prob.probs, axis=_channel_axes(spec)).copy(order="K")
-    return ProbMap(flipped, prob.classes, prob.spacing)
+    return ProbMap(flip_array(prob.probs, spec), prob.classes, prob.spacing)
+
+
+def flip_mean(maps: Iterable[tuple[FlipSpec, np.ndarray]]) -> np.ndarray:
+    """Float64 mean of ``(spec, array)`` pairs, (nx, ny, nz) or class-first
+    (C, nx, ny, nz), each unflipped by its spec and added in order.
+
+    Each array is dropped before the next is drawn, so a generator that loads
+    each one when asked keeps one in memory; the mean has the first's layout."""
+    acc = None
+    count = 0
+    for spec, data in maps:
+        if acc is None:
+            acc = np.zeros_like(data, dtype=np.float64)
+        acc += data[(..., *spec.reverse)]
+        count += 1
+        del data
+    if acc is None:
+        raise VoxsegError("a flip mean needs at least one entry")
+    acc /= count
+    return acc
+
+
+def label_argmax(channels: Iterable[tuple[int, np.ndarray]]) -> np.ndarray:
+    """uint8 labels taking, per voxel, the lowest class id whose array is
+    largest, from ``(class_id, array)`` pairs in ascending class order.
+
+    Each array is folded into a running maximum and dropped before the next
+    is drawn; the labels have the first array's layout."""
+    best = labels = None
+    for c, channel in channels:
+        if best is None:
+            best = channel.copy(order="K")  # folded into below; the caller's array is kept
+            labels = np.full_like(channel, c, dtype=np.uint8)
+        else:
+            wins = channel > best  # strict: the lower class keeps a tie
+            # c exceeds every earlier class id, and masked copies are slow
+            np.maximum(labels, wins * np.uint8(c), out=labels)
+            np.maximum(best, channel, out=best)
+        del channel
+    return labels
 
 
 def aggregate(entries: Iterable[tuple[FlipSpec, ProbMap]]) -> ProbMap:
-    """Average probability maps after undoing each entry's flip.
+    """Float64 mean of probability maps after undoing each entry's flip.
 
     Each entry must be the model output for the correspondingly flipped
-    input. Entries are consumed one at a time and added, as flipped views,
-    into one float64 accumulator, so a generator that loads each map when
-    asked keeps a single map in memory. Rows are renormalized to sum to 1.
-    """
-    acc = None
-    count = 0
-    for spec, prob in entries:
-        if acc is None:
-            dims, classes, spacing = prob.dims, prob.classes, prob.spacing
-            acc = np.zeros_like(prob.probs, dtype=np.float64)
-        elif prob.dims != dims or prob.classes != classes:
-            raise VoxsegError(
-                f"mismatched prob maps: dims {dims} vs {prob.dims}, "
-                f"classes {classes} vs {prob.classes}"
-            )
-        acc += np.flip(prob.probs, axis=_channel_axes(spec))
-        count += 1
-        del prob  # let the next entry's map replace this one, not join it
-    if acc is None:
-        raise VoxsegError("aggregate needs at least one entry")
-    acc /= count
-    sums = acc.sum(axis=0)
-    if np.any(sums <= 0):
-        raise VoxsegError("aggregated probabilities sum to zero at some voxel")
-    acc /= sums
-    return ProbMap(acc.astype(np.float32), classes, spacing)
+    input, with the first entry's dims and classes.  Entries stream through
+    ``flip_mean``, so a generator that loads each map keeps one in memory."""
+    first = {}
+
+    def arrays():
+        for spec, prob in entries:
+            if not first:
+                first.update(dims=prob.dims, classes=prob.classes, spacing=prob.spacing)
+            elif (prob.dims, prob.classes) != (first["dims"], first["classes"]):
+                raise VoxsegError(
+                    f"mismatched prob maps: dims {first['dims']} vs {prob.dims}, "
+                    f"classes {first['classes']} vs {prob.classes}"
+                )
+            yield spec, prob.probs
+            del prob  # let the next entry's map replace this one, not join it
+
+    mean = flip_mean(arrays())
+    return ProbMap(mean, first["classes"], first["spacing"])
 
 
 def argmax_labels(prob: ProbMap) -> Volume:
-    """Label map taking, per voxel, the lowest class id at maximum probability.
-
-    Channels are compared one at a time, so the result keeps the layout
-    of each channel and no (nx, ny, nz, C) transpose is made.
-    """
-    best = prob.probs[0].copy(order="K")
-    labels = np.zeros_like(best, dtype=np.uint8)  # channel 0 is background 0
-    for channel, class_id in zip(prob.probs[1:], prob.classes[1:]):
-        wins = channel > best  # strict: the lower class keeps a tie
-        np.copyto(labels, class_id, where=wins)
-        np.maximum(best, channel, out=best)
+    """Label map taking, per voxel, the lowest class id at maximum
+    probability; it keeps each channel's layout, with no transpose."""
+    labels = label_argmax(zip(prob.classes, prob.probs))
     return check_labelmap(Volume(labels, prob.spacing))

@@ -137,3 +137,11 @@ def auc_ref(samples, floor_gb: float, steps: int = 200_000) -> float:
     vals = np.interp(mids, ts, gb) - floor_gb
     vals[vals < 0] = 0.0
     return float((vals * np.diff(grid)).sum())
+
+
+def flip_ref(data, spec) -> np.ndarray:
+    """``data`` with each of its last three axes that ``spec`` flags
+    reversed by ``np.flip``, without ``FlipSpec.reverse``."""
+    flags = (spec.flip_x, spec.flip_y, spec.flip_z)
+    lead = np.ndim(data) - 3
+    return np.flip(data, axis=tuple(lead + i for i, f in enumerate(flags) if f))

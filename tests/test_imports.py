@@ -1,8 +1,10 @@
 """Every name a module of ``voxseg`` imports is used in that module, every
 public name a module defines is used somewhere in the program, only
 ``voxseg.monitor`` splits a command line or starts a process, only
-``volume.check_same_grid`` compares two spacings, and only
-``pipeline._write_predict_inputs`` passes ``save_nifti`` a gzip level."""
+``volume.check_same_grid`` compares two spacings, only
+``pipeline._write_predict_inputs`` passes ``save_nifti`` a gzip level, and
+no module but ``voxseg.tta`` calls ``np.flip`` or reads ``.reverse``, so
+that a flip is undone in one place."""
 import ast
 from pathlib import Path
 
@@ -167,3 +169,29 @@ def test_only_staged_tta_flips_pass_a_gzip_level():
     assert {path: where for path, where in found.items() if where} == {
         "src/voxseg/pipeline.py": ["_write_predict_inputs"],
     }
+
+
+def _flip_sites(source: str) -> list[str]:
+    """Each ``np.flip`` call and ``.reverse`` read in ``source``, named with
+    the top-level definition it sits in."""
+    sites = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.flip", "numpy.flip"):
+                sites.append(f"np.flip in {where}")
+            elif isinstance(node, ast.Attribute) and node.attr == "reverse" and isinstance(node.ctx, ast.Load):
+                sites.append(f".reverse in {where}")
+    return sites
+
+
+def test_scan_finds_flip_sites():
+    source = ("import numpy as np\ndef f(a, s):\n    return np.flip(a, axis=0)\n"
+              "class C:\n    def g(self, a, s):\n        return a[s.reverse]\n"
+              "r = numpy.flip(x)\n")
+    assert _flip_sites(source) == ["np.flip in f", ".reverse in C", "np.flip in module"]
+
+
+def test_only_tta_undoes_a_flip():
+    found = {p.name: _flip_sites(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "tta.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {}

@@ -1,6 +1,8 @@
 """The class-major TTA reduction ``pipeline.reduce_prob_maps``: labels that
 are the argmax of the float64 flip means (the lower class keeps an exact
-tie), the wire-contract checks, and memory."""
+tie), the same as those of ``voxseg tta-aggregate`` and of the in-memory
+``tta.aggregate`` then ``tta.argmax_labels``; the wire-contract checks, and
+memory."""
 import tracemalloc
 import weakref
 
@@ -8,11 +10,14 @@ import numpy as np
 import pytest
 
 from voxseg import pipeline
+from voxseg.cli import main
 from voxseg.errors import VoxsegError
-from voxseg.nifti import save_nifti
+from voxseg.nifti import load_nifti, save_nifti
 from voxseg.pipeline import index_prob_maps, reduce_prob_maps
-from voxseg.tta import FlipSpec, enumerate_flips
-from voxseg.volume import PROB_TOL, Spacing, Volume
+from voxseg.tta import FlipSpec, aggregate, argmax_labels, enumerate_flips
+from voxseg.volume import PROB_TOL, ProbMap, Spacing, Volume
+
+from oracles import flip_ref
 
 SPACING = Spacing(0.8, 0.8, 2.5)
 
@@ -31,8 +36,7 @@ def _reference(flips, maps):
     maps summed in flip order and divided by the flip count, then the
     argmax over classes, whose first maximum is the lowest class."""
     classes = maps[0][0]
-    sums = sum(np.flip(probs, axis=tuple(a + 1 for a in spec.axes)).astype(np.float64)
-               for spec, (_, probs) in zip(flips, maps))
+    sums = sum(flip_ref(probs, spec).astype(np.float64) for spec, (_, probs) in zip(flips, maps))
     return np.asarray(classes, dtype=np.uint8)[np.argmax(sums / len(flips), axis=0)]
 
 
@@ -77,7 +81,7 @@ def _segmenter_outputs(canonical):
     """Each flip's output as a segmenter writes it: flip k's canonical
     (C, nx, ny, nz) map flipped like flip k's input."""
     return [
-        (classes, np.flip(probs, axis=tuple(a + 1 for a in spec.axes)).copy())
+        (classes, flip_ref(probs, spec).copy())
         for spec, (classes, probs) in zip(enumerate_flips(), canonical)
     ]
 
@@ -85,9 +89,9 @@ def _segmenter_outputs(canonical):
 def _near_tie_maps(dims, tie_voxel=None):
     """Classes (0, 14) over 8 flips: class 14 is 0.5 in seven flips and the
     next float32 above 0.5 in one, background is 1 - p.  Its float64 mean
-    beats background's by 2**-26, while the renormalised float32
-    means of ``tta.aggregate`` tie.  With ``tie_voxel`` only that voxel is
-    near a tie; elsewhere class 14 is 0.25 or 0.75."""
+    beats background's by 2**-26, a margin that rounding the means to
+    float32 would erase.  With ``tie_voxel`` only that voxel is near a
+    tie; elsewhere class 14 is 0.25 or 0.75."""
     canonical = []
     for k in range(8):
         p = np.full(dims, 0.5, dtype=np.float32)
@@ -147,6 +151,34 @@ def test_near_ties_on_fourteen_classes_go_to_the_larger_float64_mean(tmp_path):
     labels = _reduce(tmp_path, "c14", True).data
     assert (labels[tied] == 9).all()
     assert np.array_equal(labels, _reference(flips, maps))
+
+
+def _in_memory(maps, order):
+    """Each flip's map as a ``ProbMap`` whose channels have the given order."""
+    for classes, probs in maps:
+        if order == "F":
+            probs = np.moveaxis(np.asfortranarray(np.moveaxis(probs, 0, -1)), -1, 0)
+        yield ProbMap(probs, classes, SPACING)
+
+
+def test_library_pipeline_and_cli_give_the_same_labels(tmp_path):
+    rng = np.random.default_rng(23)
+    cases = [_near_tie_maps((2, 3, 2)), _near_tie_maps((3, 4, 2), tie_voxel=(1, 2, 1))]
+    for k in range(20):
+        n_classes = (2, 5, 14)[k % 3]
+        classes = (0, *sorted(rng.choice(np.arange(1, 15), n_classes - 1, replace=False).tolist()))
+        cases.append(_random_maps(rng, 8, classes, (4, 3, 5), quantized=k % 2 == 1))
+    for k, maps in enumerate(cases):
+        order = "CF"[k // 2 % 2]
+        case_dir = tmp_path / f"maps{k}"
+        case_dir.mkdir()
+        _write_case(case_dir, "m", maps, order)
+        piped = _reduce(case_dir, "m", True).data
+        out = tmp_path / f"cli{k}.nii.gz"
+        assert main(["tta-aggregate", "--input-dir", str(case_dir), "--case", "m", "--out", str(out)]) == 0
+        library = argmax_labels(aggregate(zip(enumerate_flips(), _in_memory(maps, order)))).data
+        assert np.array_equal(library, piped), k
+        assert np.array_equal(load_nifti(out).data, piped), k
 
 
 def test_loads_class_major_one_channel_alive_at_a_time(tmp_path, monkeypatch):

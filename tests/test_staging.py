@@ -199,17 +199,67 @@ def test_failed_train_stops_the_staging_after_the_student_in_flight(
     assert staged and len(staged) % TTA_FLIPS == 0 and len(staged) < n_students * TTA_FLIPS
 
 
-def test_unreadable_student_fails_the_run_after_the_train_is_saved(tmp_path, capsys):
+def test_unreadable_student_fails_its_own_case(tmp_path, capsys):
     data = make_fixture(tmp_path / "data", rounds=(1, 0))
     image = data["root"] / "images" / "case_d.nii.gz"
-    image.write_bytes(image.read_bytes()[: image.stat().st_size // 2])
+    whole = image.read_bytes()
+    image.write_bytes(whole[: len(whole) // 2])
     work = tmp_path / "work"
     argv = ["run", "--manifest", str(data["manifest"]), "--config", str(data["config"]), "--work", str(work)]
     assert cli.main(argv) == 1
-    assert "case_d.nii.gz: truncated or corrupt gzip stream" in capsys.readouterr().err
-    ondisk = json.loads((work / "state.json").read_text())
-    assert ondisk["stage"] == {"trained": True, "predicted": False}
-    assert ondisk["persist_count"] == 2
+    assert "tumor round 0: case_d" in capsys.readouterr().err
+    report = (work / "report.json").read_bytes()
+    tumor = json.loads(report)["history"][0]
+    assert tumor["failed"] == ["case_d"]
+    assert "case_d.nii.gz: truncated or corrupt gzip stream" in tumor["errors"]["case_d"]
+    assert tumor["fused"] == tumor["students"] - 1 > 0
+    assert not list((work / "rounds" / "tumor_r0" / "predict_images").glob("case_d*"))
+    final = {p.name: p.read_bytes() for p in (work / "final").iterdir()}
+    assert sorted(final) == [f"case_{s}.nii.gz" for s in "abcdef"]
+
+    # a rerun finds the run done: it reports the same failure and changes
+    # nothing, also once the image is repaired
+    image.write_bytes(whole)
+    assert cli.main(argv) == 1
+    assert "tumor round 0: case_d" in capsys.readouterr().err
+    assert (work / "report.json").read_bytes() == report
+    assert {p.name: p.read_bytes() for p in (work / "final").iterdir()} == final
+
+
+def test_a_resumed_round_keeps_an_unreadable_students_read_error(tmp_path, monkeypatch):
+    data = make_fixture(tmp_path / "data", rounds=(1, 0))
+    image = data["root"] / "images" / "case_d.nii.gz"
+    image.write_bytes(image.read_bytes()[: image.stat().st_size // 2])
+    manifest, config = _load(data)
+    path = tmp_path / "work" / "state.json"
+    path.parent.mkdir()
+    PipelineState.fresh(path, config)
+
+    class Killed(BaseException):
+        pass
+
+    def kill(*args, **kwargs):
+        raise Killed
+
+    real_run_command, real_process_case = pipeline._run_command, pipeline._process_case
+    # killed in the predict, which the resumed round's staging precedes again,
+    # then once the predict is saved, so that the next resume only fuses
+    monkeypatch.setattr(pipeline, "_run_command",
+                        lambda *a: kill() if a[3] == "predict" else real_run_command(*a))
+    with pytest.raises(Killed):
+        run_phase(PipelineState.load(path), manifest, config, "tumor")
+    monkeypatch.setattr(pipeline, "_run_command", real_run_command)
+    monkeypatch.setattr(pipeline, "_process_case", kill)
+    with pytest.raises(Killed):
+        run_phase(PipelineState.load(path), manifest, config, "tumor")
+    assert PipelineState.load(path).stage == {"trained": True, "predicted": True}
+    monkeypatch.setattr(pipeline, "_process_case", real_process_case)
+    state = run_phase(PipelineState.load(path), manifest, config, "tumor")
+
+    record = state.history[-1]
+    assert record["failed"] == ["case_d"]
+    assert "case_d.nii.gz: truncated or corrupt gzip stream" in record["errors"]["case_d"]
+    assert record["fused"] == record["students"] - 1
 
 
 def test_interrupt_during_the_train_ends_the_run_and_its_train(fixture_dataset, tmp_path):
