@@ -6,10 +6,11 @@ The probe is any command printing one integer (bytes) to stdout, split by
 probe ``self-rss`` reads the child's RSS from /proc without spawning."""
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
+import os
 import resource
+import select
 import shlex
 import string
 import subprocess
@@ -112,14 +113,18 @@ def sample_run(
     samples: list[tuple[float, int]] = []
     with subprocess.Popen(argv, stdout=output, stderr=output) as proc:
         try:
-            while True:
-                mem = _run_probe(probe, proc.pid)
-                t = time.perf_counter() - start
-                if mem is not None and (not samples or t > samples[-1][0]):
-                    samples.append((t, mem))
-                with contextlib.suppress(subprocess.TimeoutExpired):
-                    proc.wait(timeout=period_s)  # returns as soon as the command exits
-                    break
+            exited = os.pidfd_open(proc.pid)  # readable as soon as the command exits
+            try:
+                while True:
+                    mem = _run_probe(probe, proc.pid)
+                    t = time.perf_counter() - start
+                    if mem is not None and (not samples or t > samples[-1][0]):
+                        samples.append((t, mem))
+                    if select.select([exited], [], [], period_s)[0]:
+                        break
+            finally:
+                os.close(exited)
+            proc.wait()
         except BaseException:
             proc.kill()
             raise

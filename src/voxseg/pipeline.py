@@ -7,12 +7,17 @@ maps are checked against the wire contract and reduced one class at a
 time), keep the largest component per configured class, and persist the
 fused pseudo labels.  A final merge stage combines the per-phase labels
 (plus any external pseudo-label sources) into complete 14-class maps and
-overlays each case's ground truth.  A round's predict inputs depend on no
-model, so one worker thread stages them while ``train_cmd`` runs and the
-calling thread only waits on it; a round resumed after its train stages
-them on the calling thread.  Cases still fuse one at a time, in manifest
-order, on the calling thread.  A case's grid is its image's header: every
-map read is checked against it and every map written is built on it.
+overlays each case's ground truth.  Every case image is read before it is
+handed to the segmenter (``_stage_image``): a teacher's is then copied and
+its label put on its header, and an image that cannot be read stops the
+round before ``train_cmd`` starts; a student's, with or without TTA, is
+staged as its 8 flips or as a copy, and one that cannot be read fails
+that student alone.  A round's predict inputs depend on no model, so one
+worker thread stages them while ``train_cmd`` runs and the calling thread
+only waits on it; a round resumed after its train stages them on the
+calling thread.  Cases still fuse one at a time, in manifest order, on
+the calling thread.  A case's grid is its image's header: every map read
+is checked against it and every map written is built on it.
 
 State lives in ``<work>/state.json``, a snapshot rewritten atomically at
 every stage boundary, plus ``state.json.journal``, which gets one JSON line
@@ -308,15 +313,15 @@ def _build_train_dirs(
     rd: Path, manifest: Manifest, config: PipelineConfig, phase: str,
     teachers: list[CaseRecord], students: list[CaseRecord],
 ) -> int:
-    """Stage teacher images/labels for train_cmd; returns the case count."""
+    """Stage teacher images/labels for train_cmd; returns the case count.
+    An image that cannot be read raises before anything is trained."""
     img_dir = _fresh_dir(rd / "train_images")
     lab_dir = _fresh_dir(rd / "train_labels")
     classes = PHASE_CLASSES[phase]
     count = 0
     for rec in teachers:
-        src = manifest.image_file(rec)
-        shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
-        gt = check_labelmap(peek_nifti(src).with_data(load_nifti(manifest.label_file(rec)).data))
+        image = _stage_image(manifest, rec, img_dir, use_tta=False)
+        gt = check_labelmap(image.with_data(load_nifti(manifest.label_file(rec)).data))
         save_nifti(_restrict(gt, rec.annotated_classes & classes), lab_dir / f"{rec.case_id}.nii.gz")
         count += 1
     held_out = set(config.eval_cases)
@@ -325,8 +330,7 @@ def _build_train_dirs(
         fused = store / f"{rec.case_id}.nii.gz"
         if rec.case_id in held_out or not fused.exists():
             continue
-        src = manifest.image_file(rec)
-        shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
+        _stage_image(manifest, rec, img_dir, use_tta=False)
         shutil.copyfile(fused, lab_dir / f"{rec.case_id}.nii.gz")
         count += 1
     return count
@@ -340,6 +344,26 @@ def _tta_bases(case_id: str, use_tta: bool) -> list[tuple[FlipSpec, str]]:
     return [(spec, f"{case_id}{TTA_INFIX}{spec.tag}") for spec in enumerate_flips()]
 
 
+def _stage_image(manifest: Manifest, rec: CaseRecord, img_dir: Path, use_tta: bool) -> Volume:
+    """Read a case's image, then hand it to the segmenter in ``img_dir``:
+    its 8 flips under TTA, else a byte copy of its file.  Returns the
+    image.  A read error is a PipelineError naming the case; a write error
+    is raised as it is."""
+    src = manifest.image_file(rec)
+    try:
+        image = load_nifti(src)
+    except (NiftiError, OSError) as exc:
+        raise PipelineError(f"case {rec.case_id!r}: cannot read its image: {exc}") from exc
+    if use_tta:
+        # stored gzip: the segmenter reads each flip once, so compressing
+        # it would cost more time than it saves
+        for spec, base in _tta_bases(rec.case_id, True):
+            save_nifti(apply_flip(image, spec), img_dir / f"{base}.nii.gz", level=0)
+    else:
+        shutil.copyfile(src, img_dir / f"{rec.case_id}{_ext(src)}")
+    return image
+
+
 def _write_predict_inputs(
     rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool, stop: threading.Event
 ) -> dict[str, str]:
@@ -351,20 +375,11 @@ def _write_predict_inputs(
     for rec in students:
         if stop.is_set():
             break
-        src = manifest.image_file(rec)
         try:
-            image = load_nifti(src) if use_tta else src.read_bytes()
-        except (NiftiError, OSError) as exc:
-            log.warning("case %s: cannot read its image: %s", rec.case_id, exc)
+            _stage_image(manifest, rec, img_dir, use_tta)
+        except PipelineError as exc:  # only a read error is one
+            log.warning("%s", exc)
             unreadable[rec.case_id] = str(exc)
-            continue
-        if not use_tta:
-            (img_dir / f"{rec.case_id}{_ext(src)}").write_bytes(image)
-            continue
-        # stored gzip: the segmenter reads each flip once, so compressing
-        # it would cost more time than it saves
-        for spec, base in _tta_bases(rec.case_id, True):
-            save_nifti(apply_flip(image, spec), img_dir / f"{base}.nii.gz", level=0)
     return unreadable
 
 

@@ -2,7 +2,7 @@
 public name a module defines is used somewhere in the program, only
 ``voxseg.monitor`` splits a command line or starts a process, only
 ``volume.check_same_grid`` compares two spacings, only
-``pipeline._write_predict_inputs`` passes ``save_nifti`` a gzip level, and
+``pipeline._stage_image`` passes ``save_nifti`` a gzip level, and
 no module but ``voxseg.tta`` calls ``np.flip`` or reads ``.reverse``, so
 that a flip is undone in one place."""
 import ast
@@ -167,7 +167,7 @@ def test_only_staged_tta_flips_pass_a_gzip_level():
     found = {p.relative_to(ROOT).as_posix(): _level_callers(p.read_text())
              for tree in PROGRAM for p in sorted((ROOT / tree).rglob("*.py"))}
     assert {path: where for path, where in found.items() if where} == {
-        "src/voxseg/pipeline.py": ["_write_predict_inputs"],
+        "src/voxseg/pipeline.py": ["_stage_image"],
     }
 
 

@@ -147,6 +147,22 @@ def test_sample_run_ends_when_the_command_does():
     assert trace.samples[-1][0] < 1.0
 
 
+def test_sample_run_sees_the_exit_without_polling(monkeypatch):
+    # the exit wakes the sampler at once; a timed wait would poll for it
+    real_wait = subprocess.Popen.wait
+
+    def wait(self, timeout=None):
+        if timeout is not None:
+            raise TypeError("Popen.wait with a timeout polls for the exit")
+        return real_wait(self)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", wait)
+    start = time.perf_counter()
+    code, trace = sample_run([sys.executable, "-c", "import time; time.sleep(0.3)"], period_s=5.0)
+    assert code == 0
+    assert 0.3 <= trace.samples[-1][0] <= time.perf_counter() - start < 5.0
+
+
 def test_sample_run_reports_nonzero_exit():
     code, trace = sample_run([sys.executable, "-c", "raise SystemExit(3)"], period_s=0.05)
     assert code == 3

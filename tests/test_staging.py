@@ -199,8 +199,10 @@ def test_failed_train_stops_the_staging_after_the_student_in_flight(
     assert staged and len(staged) % TTA_FLIPS == 0 and len(staged) < n_students * TTA_FLIPS
 
 
-def test_unreadable_student_fails_its_own_case(tmp_path, capsys):
-    data = make_fixture(tmp_path / "data", rounds=(1, 0))
+@pytest.mark.parametrize("tta", [True, False], ids=["tta", "no_tta"])
+def test_unreadable_student_fails_its_own_case(tmp_path, capsys, tta):
+    # staged as flips under TTA, else as a copy of its file: read first either way
+    data = make_fixture(tmp_path / "data", tta=tta, rounds=(1, 0))
     image = data["root"] / "images" / "case_d.nii.gz"
     whole = image.read_bytes()
     image.write_bytes(whole[: len(whole) // 2])
@@ -224,6 +226,23 @@ def test_unreadable_student_fails_its_own_case(tmp_path, capsys):
     assert "tumor round 0: case_d" in capsys.readouterr().err
     assert (work / "report.json").read_bytes() == report
     assert {p.name: p.read_bytes() for p in (work / "final").iterdir()} == final
+
+
+def test_unreadable_teacher_stops_the_run_before_the_train(tmp_path, capsys):
+    data = make_fixture(tmp_path / "data", rounds=(1, 0))
+    image = data["root"] / "images" / "case_a.nii.gz"  # a teacher of both phases
+    image.write_bytes(image.read_bytes()[: image.stat().st_size // 2])
+    work = tmp_path / "work"
+    argv = ["run", "--manifest", str(data["manifest"]), "--config", str(data["config"]), "--work", str(work)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "case 'case_a': cannot read its image" in err
+    assert "case_a.nii.gz: truncated or corrupt gzip stream" in err
+    train_log = work / "rounds" / "tumor_r0" / "logs" / "train.log"
+    assert not train_log.exists() or "$ " not in train_log.read_text()
+    ondisk = json.loads((work / "state.json").read_text())
+    assert (ondisk["stage"]["trained"], ondisk["persist_count"]) == (False, 1)
+    assert not (work / "report.json").exists()
 
 
 def test_a_resumed_round_keeps_an_unreadable_students_read_error(tmp_path, monkeypatch):
