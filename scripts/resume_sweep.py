@@ -1,33 +1,79 @@
 #!/usr/bin/env python3
-"""Kill the fixture run at each of its state writes, resume it, and compare with a clean run.
+"""Kill the fixture run at each of its state and file writes, resume it, and compare with a clean run.
 
-For each kill point k, the run's k-th state write (a snapshot or a journal
-line) raises ``Killed``, a ``BaseException``, from
-``PipelineState._crash_hook``; the run is then resumed in the same work
-directory.  A kill point passes when the resumed run's ``final/`` files hold
-the clean run's bytes and its ``report.json`` holds the clean run's
-``history``.  Everything runs in this process:
+There are three kinds of kill point, each numbered from 1 in run order:
 
-    PYTHONPATH=src python scripts/resume_sweep.py [--root R] [--kills K ...]
+- ``state write`` k: the run's k-th state write (a snapshot or a journal
+  line) raises ``Killed``, a ``BaseException``, from
+  ``PipelineState._crash_hook``;
+- ``file write`` k: ``Killed`` is raised right after the run's k-th
+  ``save_nifti`` into ``pseudo_tumor/``, ``pseudo_organ/`` or ``final/``,
+  before that case's journal line;
+- ``truncated file write`` k: the same, with that file first cut to half
+  its length, as a kill in the middle of the write would leave it.
 
-By default every state write of the clean run is a kill point.  Exits 1
-when any kill point fails, after printing one line per kill point.
+The run is then resumed in the same work directory.  A kill point passes
+when the resumed run's ``final/`` files hold the clean run's bytes and its
+``report.json`` holds the clean run's ``history``.  Everything runs in this
+process:
+
+    PYTHONPATH=src python scripts/resume_sweep.py [--root R] [--kills K ...] [--file-kills K ...]
+
+By default every state write and every file write of the clean run is a
+kill point, the file writes once as written and once truncated; with
+``--kills`` or ``--file-kills``, only the points given.  Exits 1 when any
+kill point fails, after printing one line per kill point.
 """
 import argparse
 import json
+import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
+from voxseg import pipeline
 from voxseg.config import load_config
 from voxseg.fixture import make_fixture
 from voxseg.manifest import load_manifest
-from voxseg.pipeline import PipelineState, run_pipeline
+from voxseg.pipeline import run_pipeline
+from voxseg.state import PipelineState
+
+STATE, FILE, TRUNCATED = "state write", "file write", "truncated file write"
+# the directories whose files a case's journal line vouches for
+STORES = ("pseudo_tumor", "pseudo_organ", "final")
 
 
 class Killed(BaseException):
-    """Raised at the chosen state write, where a kill would stop the run."""
+    """Raised at the chosen kill point, where a kill would stop the run."""
+
+
+@contextmanager
+def killing(kind: str, k: int):
+    """Within it, a run raises ``Killed`` at its ``k``-th kill point of
+    ``kind`` (``k`` = 0: never); yields the paths it saves into ``STORES``."""
+    saved = []
+    real_hook, real_save = PipelineState._crash_hook, pipeline.save_nifti
+
+    def hook(state):
+        if kind == STATE and state.persist_count == k:
+            raise Killed(kind, k)
+
+    def save(vol, path, *args, **kwargs):
+        real_save(vol, path, *args, **kwargs)
+        if Path(path).parent.name in STORES:
+            saved.append(path)
+            if kind != STATE and len(saved) == k:
+                if kind == TRUNCATED:
+                    os.truncate(path, os.path.getsize(path) // 2)
+                raise Killed(kind, k)
+
+    PipelineState._crash_hook, pipeline.save_nifti = hook, save
+    try:
+        yield saved
+    finally:
+        PipelineState._crash_hook, pipeline.save_nifti = real_hook, real_save
 
 
 def outputs(work: Path) -> tuple[dict, list]:
@@ -36,41 +82,34 @@ def outputs(work: Path) -> tuple[dict, list]:
     return final, json.loads((work / "report.json").read_text())["history"]
 
 
-def kill_and_resume(manifest, config, work: Path, k: int) -> bool:
-    """Run in ``work`` until the ``k``-th state write, then resume to the
-    end; False when the run ends before that write."""
-    real_hook = PipelineState._crash_hook
-
-    def hook(state):
-        if state.persist_count == k:
-            raise Killed(k)
-
-    PipelineState._crash_hook = hook
+def kill_and_resume(manifest, config, work: Path, kind: str, k: int) -> bool:
+    """Run in ``work`` until its ``k``-th kill point of ``kind``, then
+    resume to the end; False when the run ends before that point."""
     try:
-        run_pipeline(manifest, config, work)
+        with killing(kind, k):
+            run_pipeline(manifest, config, work)
         return False
     except Killed:
         pass
-    finally:
-        PipelineState._crash_hook = real_hook
     run_pipeline(manifest, config, work)
     return True
 
 
-def sweep(dataset: dict, clean: Path, kills, root: Path) -> list[int]:
-    """Kill each of ``kills`` in a work directory of its own under ``root``;
-    returns the kill points that did not resume to ``clean``'s outputs."""
+def sweep(dataset: dict, clean: Path, points, root: Path) -> list[tuple[str, int]]:
+    """Kill at each ``(kind, k)`` of ``points`` in a work directory of its
+    own under ``root``; returns the points that did not resume to
+    ``clean``'s outputs."""
     manifest, config = load_manifest(dataset["manifest"]), load_config(dataset["config"])
     want = outputs(clean)
     failed = []
-    for k in kills:
-        work = root / f"kill_{k}"
+    for kind, k in points:
+        work = root / f"{kind.replace(' ', '_')}_{k}"
         verdict = "never reached"
-        if kill_and_resume(manifest, config, work, k):
+        if kill_and_resume(manifest, config, work, kind, k):
             verdict = "ok" if outputs(work) == want else "differs from the clean run"
-        print(f"kill at state write {k}: {verdict}", flush=True)
+        print(f"kill at {kind} {k}: {verdict}", flush=True)
         if verdict != "ok":
-            failed.append(k)
+            failed.append((kind, k))
     return failed
 
 
@@ -78,20 +117,26 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=None,
                     help="directory for the dataset and the work dirs (default: a fresh temp dir)")
-    ap.add_argument("--kills", type=int, nargs="+", default=None, metavar="K",
-                    help="state writes to kill at (default: every state write of the clean run)")
+    ap.add_argument("--kills", type=int, nargs="+", default=[], metavar="K",
+                    help="state writes to kill at")
+    ap.add_argument("--file-kills", type=int, nargs="+", default=[], metavar="K",
+                    help="file writes to kill after, once as written and once truncated")
     args = ap.parse_args()
     root = args.root or Path(tempfile.mkdtemp(prefix="voxseg_sweep_"))
 
     start = time.perf_counter()
     dataset = make_fixture(root / "data")
     clean = root / "clean"
-    run_pipeline(load_manifest(dataset["manifest"]), load_config(dataset["config"]), clean)
-    writes = json.loads((clean / "state.json").read_text())["persist_count"]
-    kills = args.kills or range(1, writes + 1)
-    failed = sweep(dataset, clean, kills, root)
-    print(f"{len(kills) - len(failed)} of {len(kills)} kill point(s) resumed to the clean run's "
-          f"outputs ({writes} state writes in a clean run)")
+    with killing(STATE, 0) as saved:
+        run_pipeline(load_manifest(dataset["manifest"]), load_config(dataset["config"]), clean)
+    writes, files = json.loads((clean / "state.json").read_text())["persist_count"], len(saved)
+    kills, file_kills = args.kills, args.file_kills
+    if not (kills or file_kills):
+        kills, file_kills = range(1, writes + 1), range(1, files + 1)
+    points = [(STATE, k) for k in kills] + [(kind, k) for k in file_kills for kind in (FILE, TRUNCATED)]
+    failed = sweep(dataset, clean, points, root)
+    print(f"{len(points) - len(failed)} of {len(points)} kill point(s) resumed to the clean run's "
+          f"outputs ({writes} state writes and {files} file writes in a clean run)")
     print(f"elapsed: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 1 if failed else 0
 

@@ -40,6 +40,7 @@ from .metrics import (
 from .monitor import EfficiencyReport, ResourceTrace, auc_above_floor, efficiency_report, sample_run
 from .manifest import CaseRecord, Manifest, load_manifest
 from .config import PipelineConfig, SegmenterContract, load_config
-from .pipeline import PipelineState, run_merge, run_phase, run_pipeline
+from .state import PipelineState
+from .pipeline import run_merge, run_phase, run_pipeline
 
 __version__ = "0.1.0"

@@ -83,7 +83,7 @@ def cmd_phase(args) -> int:
     config = load_config(args.config, args.overrides)
     manifest = load_manifest(args.manifest)
     state = open_state(manifest, config, args.work)
-    run_phase(state, manifest, config, args.phase)
+    run_phase(state, manifest, config)
     last = state.history[-1]
     print(
         f"phase {last['phase']} round {last['round']}: fused {last['fused']}/{last['students']} case(s)"
@@ -330,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[pipelined], help="run all phases + merge to completion")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("phase", parents=[pipelined], help="run a single round of one phase")
-    p.add_argument("--phase", required=True, choices=["tumor", "organ"])
+    p = sub.add_parser("phase", parents=[pipelined], help="run the next round of the run")
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("fuse", parents=[configured], help="fuse label maps")

@@ -19,17 +19,16 @@ calling thread.  Cases still fuse one at a time, in manifest order, on
 the calling thread.  A case's grid is its image's header: every map read
 is checked against it and every map written is built on it.
 
-State lives in ``<work>/state.json``, a snapshot rewritten atomically at
-every stage boundary, plus ``state.json.journal``, which gets one JSON line
-per finished case and is emptied by the next snapshot.  Each snapshot
-names the step that runs next: a round of a phase, the merge, or done.
-Fused files carry content digests so a killed run resumes without
-recomputing finished cases.  A work directory holds one run:
-``open_state`` resumes it from ``state.json``, or starts it in a directory
-that holds none of the other entries below (``RUN_ENTRIES``), so that no
-round trains on an earlier run's pseudo labels.  Work directory layout:
+A round runs as the steps ``voxseg.state.ROUND_STEPS`` names, and the
+run's snapshot (``voxseg.state.PipelineState``) records the next one, so a
+killed run resumes at the step it stopped in.  Fused files carry content
+digests, so a resumed step does not recompute its finished cases.  A work
+directory holds one run: ``open_state`` resumes it from ``state.json``, or
+starts it in a directory that holds none of the other entries below
+(``RUN_ENTRIES``), so that no round trains on an earlier run's pseudo
+labels.  Work directory layout:
 
-    state.json                      snapshot at the last stage boundary
+    state.json                      snapshot at the last step boundary
     state.json.journal              per-case outcomes since that snapshot
     rounds/<phase>_r<k>/
       train_images/ train_labels/   teacher set handed to train_cmd
@@ -45,15 +44,12 @@ round trains on an earlier run's pseudo labels.  Work directory layout:
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
 import re
 import shlex
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,34 +62,21 @@ from .metrics import aggregate_cohort, evaluate_case
 from .monitor import sample_run, split_command
 from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
+from .state import DONE, MERGE, PHASE_CLASSES, PipelineState, write_json
 from . import tta
 from .tta import PROB_INFIX, TTA_INFIX, FlipSpec, apply_flip, enumerate_flips, flip_mean, label_argmax
-from .volume import (
-    ORGAN_CLASSES, PROB_TOL, TUMOR_CLASS, Volume, check_labelmap, check_same_grid, labelmap_like,
-)
+from .volume import PROB_TOL, TUMOR_CLASS, Volume, check_labelmap, check_same_grid, labelmap_like
 
 # uncalled here: perfbench's tracer wraps these two by name on this module
 aggregate, argmax_labels = tta.aggregate, tta.argmax_labels
 
 log = logging.getLogger(__name__)
 
-# in run order; the phases share no class, so their order changes no label
-PHASE_CLASSES = {
-    "tumor": frozenset({TUMOR_CLASS}),
-    "organ": frozenset(ORGAN_CLASSES),
-}
-MERGE, DONE = "merge", "done"
-
 # what a run writes into its work directory besides state.json
 RUN_ENTRIES = ("state.json.journal", "rounds", "pseudo_tumor", "pseudo_organ", "final", "report.json")
 
 FUSED = "fused"
 FAILED = "failed"
-
-STATE_VERSION = 1
-# test hook: kill the process (os._exit) right after the Nth state write
-# (snapshot or journal append)
-CRASH_ENV = "VOXSEG_CRASH_AFTER"
 
 _PROB_TAIL = re.compile(rf"{PROB_INFIX}(\d+)$")
 
@@ -106,14 +89,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(data: dict, path) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def _restrict(vol: Volume, classes) -> Volume:
     """Zero every voxel whose class is not in ``classes``."""
     keep = sorted(classes)
@@ -124,146 +99,6 @@ def _restrict(vol: Volume, classes) -> Volume:
 
 def _ext(path) -> str:
     return ".nii.gz" if str(path).endswith(".nii.gz") else ".nii"
-
-
-def _next_step(config: PipelineConfig, phase: str, rnd: int) -> tuple[str, int]:
-    """The step that runs once ``rnd`` rounds of ``phase`` are done: round
-    ``rnd`` of ``phase`` if configured, else round 0 of the next phase in
-    ``PHASE_CLASSES`` order that has rounds, else the merge."""
-    phases = list(PHASE_CLASSES)
-    for p in phases[phases.index(phase):]:
-        if rnd < config.rounds(p):
-            return p, rnd
-        rnd = 0
-    return MERGE, 0
-
-
-@dataclass
-class PipelineState:
-    """Mutable run state: a JSON snapshot plus an append-only case journal.
-
-    The fields after ``path`` are the snapshot's keys.  Stage-boundary
-    mutators (and ``persist``) rewrite the snapshot atomically and empty
-    the journal; ``set_case`` appends one line to the journal instead, so
-    recording a case costs the same at any cohort size.  Every write bumps
-    ``persist_count``; ``load`` replays the journal lines numbered past the
-    snapshot's count.  Every mutator writes before returning, so the files
-    on disk never lag behind completed work by more than the step in flight.
-    """
-
-    path: Path
-    version: int
-    phase: str
-    round: int
-    stage: dict  # {"trained": bool, "predicted": bool} for the current round
-    cases: dict
-    history: list
-    persist_count: int
-    config: dict
-
-    @classmethod
-    def fresh(cls, path, config: PipelineConfig) -> "PipelineState":
-        phase, rnd = _next_step(config, next(iter(PHASE_CLASSES)), 0)
-        state = cls(
-            path=Path(path), version=STATE_VERSION, phase=phase, round=rnd,
-            stage={"trained": False, "predicted": False}, cases={}, history=[],
-            persist_count=0, config=config.to_dict(),
-        )
-        # an earlier run's journal numbers its lines past this state's count
-        state.journal.unlink(missing_ok=True)
-        state.persist()
-        return state
-
-    @classmethod
-    def load(cls, path) -> "PipelineState":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PipelineError(f"cannot read state {path}: {exc}") from exc
-        version = data.get("version") if isinstance(data, dict) else None
-        if version != STATE_VERSION:
-            raise PipelineError(f"{path}: unsupported state version {version!r}")
-        keys = set(_SNAPSHOT_KEYS)
-        missing, extra = sorted(keys - set(data)), sorted(set(data) - keys)
-        if missing or extra:
-            raise PipelineError(f"{path}: state snapshot lacks keys {missing}, has unknown keys {extra}")
-        state = cls(path=Path(path), **data)
-        state._replay_journal()
-        return state
-
-    def _replay_journal(self) -> None:
-        """Apply journal lines written after the snapshot, in order.
-
-        Lines numbered at or below the snapshot's count predate it (a kill
-        between snapshot and truncation).  A torn last line (undecodable or
-        unterminated) ends the replay and is cut off, so the next append
-        starts on a line of its own.
-        """
-        try:
-            raw = self.journal.read_bytes()
-        except FileNotFoundError:
-            return
-        good = 0
-        for line in raw.splitlines(keepends=True):
-            try:
-                if not line.endswith(b"\n"):
-                    raise ValueError("unterminated line")
-                rec = json.loads(line)
-            except ValueError:
-                os.truncate(self.journal, good)
-                return
-            good += len(line)
-            if rec["n"] > self.persist_count:
-                self.cases[rec["case"]] = rec["entry"]
-                self.persist_count = rec["n"]
-
-    @property
-    def journal(self) -> Path:
-        return self.path.with_name(self.path.name + ".journal")
-
-    def persist(self) -> None:
-        """Write the snapshot and empty the journal it now covers."""
-        self.persist_count += 1
-        _write_json({k: getattr(self, k) for k in _SNAPSHOT_KEYS}, self.path)
-        self.journal.write_bytes(b"")
-        self._crash_hook()
-
-    def _crash_hook(self) -> None:
-        crash_after = os.environ.get(CRASH_ENV)
-        if crash_after and self.persist_count == int(crash_after):
-            log.warning("crash hook: exiting after persist #%s", crash_after)
-            os._exit(137)
-
-    def mark_trained(self) -> None:
-        self.stage["trained"] = True
-        self.persist()
-
-    def mark_predicted(self) -> None:
-        self.stage["predicted"] = True
-        self.persist()
-
-    def set_case(self, case_id: str, entry: dict) -> None:
-        self.cases[case_id] = entry
-        self.persist_count += 1
-        line = json.dumps({"n": self.persist_count, "case": case_id, "entry": entry})
-        with open(self.journal, "a") as fh:
-            fh.write(line + "\n")
-        self._crash_hook()
-
-    def end_round(self, record: dict, config: PipelineConfig) -> None:
-        self.history.append(record)
-        self.phase, self.round = _next_step(config, self.phase, self.round + 1)
-        self.stage = {"trained": False, "predicted": False}
-        self.cases = {}
-        self.persist()
-
-    def finish(self, record: dict) -> None:
-        self.history.append(record)
-        self.phase = DONE
-        self.persist()
-
-
-_SNAPSHOT_KEYS = tuple(f.name for f in fields(PipelineState) if f.name != "path")
 
 
 def _round_dir(work: Path, phase: str, rnd: int) -> Path:
@@ -556,15 +391,12 @@ def _evaluate_held_out(work: Path, manifest: Manifest, config: PipelineConfig) -
     return aggregate_cohort(reports)
 
 
-def run_phase(
-    state: PipelineState, manifest: Manifest, config: PipelineConfig, phase: str
-) -> PipelineState:
-    """Execute one teacher→pseudo-label round of the given phase with
+def run_phase(state: PipelineState, manifest: Manifest, config: PipelineConfig) -> PipelineState:
+    """Run the round ``state`` names, from its next step, with
     ``config.segmenter``."""
+    phase = state.phase
     if phase not in PHASE_CLASSES:
-        raise PipelineError(f"unknown phase {phase!r}")
-    if state.phase != phase:
-        raise PipelineError(f"state is in phase {state.phase!r}, not {phase!r}")
+        raise PipelineError(f"no round is left: the run's next step is {phase!r}; `voxseg run` merges")
     contract = config.segmenter
     if contract is None:
         raise PipelineError("no segmenter contract configured")
@@ -584,7 +416,7 @@ def run_phase(
     )
 
     staging = None
-    if not state.stage["trained"]:
+    if state.step == "train":
         n = _build_train_dirs(rd, manifest, config, phase, teachers, students)
         model_dir = rd / "model"
         model_dir.mkdir(exist_ok=True)
@@ -593,8 +425,7 @@ def run_phase(
         # thread only waits on the train command
         stop = threading.Event()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            if students:  # a segmenter may refuse an empty input directory
-                staging = pool.submit(_write_predict_inputs, rd, manifest, students, use_tta, stop)
+            staging = pool.submit(_write_predict_inputs, rd, manifest, students, use_tta, stop)
             try:
                 _run_command(
                     contract.train_cmd,
@@ -607,20 +438,18 @@ def run_phase(
                 stop.set()  # the student in flight finishes, the rest are dropped
                 raise
         log.info("trained on %d case(s)", n)
-        state.mark_trained()
+        state.advance("predict")
 
-    if not state.stage["predicted"] and students:
-        state.cases.clear()  # until predicted, a round records only its staging's read failures
-        if staging is None:  # resumed after the train
-            unreadable = _write_predict_inputs(rd, manifest, students, use_tta, threading.Event())
-        else:  # a staging write error is raised once `trained` is saved
-            unreadable = staging.result()
+    if state.step == "predict":
+        # a staging write error is raised once the train is saved; a round
+        # resumed after its train stages again
+        unreadable = (
+            staging.result() if staging
+            else _write_predict_inputs(rd, manifest, students, use_tta, threading.Event())
+        )
         for case_id, error in unreadable.items():
-            state.set_case(case_id, {"status": FAILED, "error": error, "unread": True})
-    # a student whose image cannot be read is neither predicted nor fused, also on resume
-    readable = [rec for rec in students if "unread" not in state.cases.get(rec.case_id, {})]
-    if not state.stage["predicted"]:
-        if readable:
+            state.cases[case_id] = {"status": FAILED, "error": error, "unread": True}
+        if len(unreadable) < len(students):  # a segmenter may refuse an empty input directory
             (rd / "predict_raw").mkdir(exist_ok=True)
             _run_command(
                 contract.predict_cmd,
@@ -629,7 +458,9 @@ def run_phase(
                 rd / "logs" / "predict.log",
                 "predict",
             )
-        state.mark_predicted()
+        state.advance("fuse")  # with the read failures
+    # a student whose image cannot be read is neither predicted nor fused, also on resume
+    readable = [rec for rec in students if "unread" not in state.cases.get(rec.case_id, {})]
 
     prob_maps = index_prob_maps(rd / "predict_raw")
     summary = _run_cases(
@@ -646,7 +477,7 @@ def run_phase(
     }
     if config.eval_cases:
         evaluation = _evaluate_held_out(work, manifest, config)
-        _write_json(evaluation, rd / "eval.json")
+        write_json(evaluation, rd / "eval.json")
         record["eval"] = evaluation
         log.info(
             "phase %s round %d held-out mean DSC: %.4f", phase, rnd, evaluation["mean_dsc"]
@@ -802,10 +633,10 @@ def run_pipeline(manifest: Manifest, config: PipelineConfig, work) -> dict:
         if state.phase == MERGE:
             run_merge(state, manifest, config)
         else:
-            run_phase(state, manifest, config, state.phase)
+            run_phase(state, manifest, config)
 
     report = _build_report(state)
-    _write_json(report, work / "report.json")
+    write_json(report, work / "report.json")
     log.info("pipeline done: %d final label(s) in %s", len(report["final_labels"]), work / "final")
     check_failed(report["history"], work / "report.json")
     return report

@@ -35,6 +35,10 @@ def test_traced_name_is_the_function_of_its_defining_module(module, attr, span):
 
 
 def test_traced_state_write_resolves():
-    from voxseg.pipeline import PipelineState
+    import voxseg.pipeline
+    import voxseg.state
 
-    assert callable(PipelineState.persist)
+    # the tracer wraps persist on the class voxseg.pipeline names; a copy or
+    # a subclass there would leave the state writes uncounted
+    assert voxseg.pipeline.PipelineState is voxseg.state.PipelineState
+    assert callable(voxseg.pipeline.PipelineState.persist)

@@ -13,7 +13,7 @@ import pytest
 
 from voxseg.cli import build_parser, main
 from voxseg.config import load_config
-from voxseg.pipeline import PipelineState
+from voxseg.state import PipelineState
 from voxseg.nifti import load_nifti, save_nifti
 from voxseg.tta import apply_flip_prob, argmax_labels, enumerate_flips
 from voxseg.volume import ProbMap, Spacing, Volume
@@ -50,7 +50,7 @@ def test_help_everywhere(capsys):
 # Long options each subcommand accepts; a flag its handler ignores is not offered.
 CLI_SURFACE = {
     "run": {"--config", "--set", "--manifest", "--work", "--verbose"},
-    "phase": {"--config", "--set", "--manifest", "--work", "--phase", "--verbose"},
+    "phase": {"--config", "--set", "--manifest", "--work", "--verbose"},
     "fuse": {
         "--config", "--set", "--mode", "--source", "--organ", "--tumor", "--gt", "--pseudo",
         "--classes", "--out", "--verbose",
@@ -546,7 +546,7 @@ def test_run_cli_requires_manifest_and_work(fixture_dataset):
 
 def test_phase_cli_single_round(fixture_dataset, tmp_path, capsys):
     code = main([
-        "phase", "--phase", "tumor",
+        "phase",
         "--manifest", str(fixture_dataset["manifest"]),
         "--config", str(fixture_dataset["config"]),
         "--work", str(tmp_path / "work"),
@@ -563,11 +563,15 @@ def test_phase_cli_runs_the_configured_rounds_then_run_merges(completed_run, tmp
     work = tmp_path / "work"
     base = ["--manifest", str(dataset["manifest"]), "--config", str(dataset["config"]),
             "--work", str(work)]
-    for phase in ("tumor", "tumor", "organ", "organ"):
-        assert main(["phase", "--phase", phase, *base]) == 0, phase
+    for phase, rnd in (("tumor", 0), ("tumor", 1), ("organ", 0), ("organ", 1)):
+        assert main(["phase", *base]) == 0, (phase, rnd)
+        assert f"phase {phase} round {rnd}: fused" in capsys.readouterr().out
     # every configured round is done: the state names the merge
-    assert main(["phase", "--phase", "organ", *base]) == 1
-    assert "state is in phase 'merge', not 'organ'" in capsys.readouterr().err
+    before = (work / "state.json").read_bytes()
+    assert main(["phase", *base]) == 1
+    err = capsys.readouterr().err
+    assert "no round is left: the run's next step is 'merge'; `voxseg run` merges" in err
+    assert (work / "state.json").read_bytes() == before
     assert main(["run", *base]) == 0
     report = json.loads((work / "report.json").read_text())
     assert report["history"] == completed_run["report"]["history"]
@@ -580,7 +584,7 @@ def test_phase_cli_runs_the_configured_rounds_then_run_merges(completed_run, tmp
 def test_phase_cli_validates_config_before_training(fixture_dataset, tmp_path, capsys):
     work = tmp_path / "work"
     code = main([
-        "phase", "--phase", "tumor",
+        "phase",
         "--manifest", str(fixture_dataset["manifest"]),
         "--config", str(fixture_dataset["config"]),
         "--work", str(work),
@@ -593,7 +597,7 @@ def test_phase_cli_validates_config_before_training(fixture_dataset, tmp_path, c
 
 def test_phase_cli_exits_1_when_a_case_failed(fixture_dataset, tmp_path, capsys):
     code = main([
-        "phase", "--phase", "tumor",
+        "phase",
         "--manifest", str(fixture_dataset["manifest"]),
         "--config", str(fixture_dataset["config"]),
         "--work", str(tmp_path / "work"),
@@ -626,7 +630,7 @@ def test_non_string_command_template_is_config_error(fixture_dataset, tmp_path, 
 
 def test_phase_cli_refuses_work_from_other_config(fixture_dataset, tmp_path, capsys):
     work = tmp_path / "work"
-    base = ["phase", "--phase", "tumor",
+    base = ["phase",
             "--manifest", str(fixture_dataset["manifest"]),
             "--config", str(fixture_dataset["config"]),
             "--work", str(work)]
@@ -680,7 +684,7 @@ def test_run_with_no_students_launches_no_predict(fixture_dataset, tmp_path, cap
     record = json.loads((work / "report.json").read_text())["history"][0]
     assert (record["phase"], record["students"], record["fused"]) == ("tumor", 0, 0)
     assert os.listdir(work / "rounds" / "tumor_r0" / "logs") == ["train.log"]
-    # writes: fresh, trained, predicted, end_round, two merged cases, finish
+    # writes: fresh, the train's end, the predict's end, end_round, two merged cases, finish
     assert json.loads((work / "state.json").read_text())["persist_count"] == 7
 
 

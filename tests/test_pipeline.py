@@ -19,11 +19,7 @@ from voxseg.manifest import load_manifest
 from voxseg.nifti import load_nifti, save_nifti
 from voxseg import pipeline
 from voxseg.pipeline import (
-    CRASH_ENV,
     FUSED,
-    MERGE,
-    PHASE_CLASSES,
-    PipelineState,
     _restrict,
     _student_records,
     _teacher_records,
@@ -33,6 +29,7 @@ from voxseg.pipeline import (
     run_phase,
     run_pipeline,
 )
+from voxseg.state import CRASH_ENV, DONE, MERGE, PHASE_CLASSES, PipelineState
 from voxseg.tta import apply_flip, enumerate_flips
 from voxseg.volume import ORGAN_CLASSES, Spacing, Volume
 
@@ -75,17 +72,19 @@ def test_teacher_student_partition(fixture_dataset):
 def test_state_roundtrip(tmp_path):
     config = PipelineConfig()
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    assert state.phase == "tumor" and state.round == 0
-    assert not state.stage["trained"]
+    assert (state.phase, state.round, state.step) == ("tumor", 0, "train")
     back = PipelineState.load(tmp_path / "state.json")
     assert back == state
     assert back.config == json.loads(json.dumps(config.to_dict()))
 
 
 @pytest.mark.parametrize("edit, named", [
-    (lambda data: data.pop("stage"), r"lacks keys \['stage'\], has unknown keys \[\]$"),
+    (lambda data: data.pop("step"), r"lacks keys \['step'\], has unknown keys \[\]$"),
     (lambda data: data.update(workers=2), r"lacks keys \[\], has unknown keys \['workers'\]$"),
-], ids=["missing", "unknown"])
+    # a snapshot written before a round's progress was one step name
+    (lambda data: data.update(stage={"trained": True, "predicted": False}) or data.pop("step"),
+     r"lacks keys \['step'\], has unknown keys \['stage'\]$"),
+], ids=["missing", "unknown", "old_stage"])
 def test_state_load_names_a_missing_or_unknown_key(tmp_path, edit, named):
     path = tmp_path / "state.json"
     PipelineState.fresh(path, PipelineConfig())
@@ -122,16 +121,16 @@ def test_state_version_and_missing(tmp_path):
 
 def test_state_mutators_persist(tmp_path):
     state = PipelineState.fresh(tmp_path / "state.json", PipelineConfig())
-    state.mark_trained()
-    state.mark_predicted()
+    state.advance("predict")
+    state.advance("fuse")
     state.set_case("x", {"status": FUSED, "digest": "d"})
     ondisk = json.loads((tmp_path / "state.json").read_text())
-    assert ondisk["stage"] == {"trained": True, "predicted": True}
+    assert ondisk["step"] == "fuse"
     resumed = PipelineState.load(tmp_path / "state.json")
     assert resumed.cases == {"x": {"status": FUSED, "digest": "d"}}
     assert resumed.persist_count == 4
     state.end_round({"phase": "tumor", "round": 0}, PipelineConfig())
-    assert state.round == 1 and state.cases == {} and not state.stage["trained"]
+    assert state.round == 1 and state.cases == {} and state.step == "train"
 
 
 def test_fresh_state_names_the_first_configured_round(tmp_path):
@@ -161,7 +160,7 @@ def _journal_lines(state):
 def test_journal_replays_cases_after_snapshot(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained()
+    state.advance("predict")
     snapshot = path.read_text()
     state.set_case("x", {"status": FUSED, "digest": "d"})
     assert path.read_text() == snapshot  # an append leaves the snapshot alone
@@ -176,7 +175,7 @@ def test_journal_replays_cases_after_snapshot(tmp_path):
 def test_journal_ignores_torn_last_line(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained()
+    state.advance("predict")
     state.set_case("x", {"status": FUSED, "digest": "d"})
     for torn in (b'{"n": 4, "case": "y", "ent', b'{"n": 4, "case": "y", "entry": {}}'):
         good = state.journal.read_bytes()
@@ -194,10 +193,10 @@ def test_journal_ignores_torn_last_line(tmp_path):
 def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained()
+    state.advance("predict")
     state.set_case("x", {"status": FUSED, "digest": "d"})
     stale = state.journal.read_bytes()
-    state.mark_predicted()
+    state.advance("fuse")
     assert state.journal.read_bytes() == b""  # the snapshot emptied it
     # a kill between the snapshot's replace and the truncation leaves old lines
     state.journal.write_bytes(stale + b'{"n": 4, "case": "y", "entry": {"status": "bogus"}}\n')
@@ -209,12 +208,12 @@ def test_journal_ignores_lines_the_snapshot_covers(tmp_path):
 def test_journal_count_continues_across_load(tmp_path):
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained()
+    state.advance("predict")
     state.set_case("x", {"status": FUSED, "digest": "d"})
     back = PipelineState.load(path)
     back.set_case("y", {"status": FUSED, "digest": "e"})
     assert [line["n"] for line in _journal_lines(back)] == [3, 4]
-    back.mark_predicted()
+    back.advance("fuse")
     assert back.persist_count == 5
     assert json.loads(path.read_text())["persist_count"] == 5
     assert PipelineState.load(path) == back
@@ -229,7 +228,7 @@ def test_crash_hook_fires_on_journal_append(tmp_path, monkeypatch):
 
     path = tmp_path / "state.json"
     state = PipelineState.fresh(path, PipelineConfig())
-    state.mark_trained()
+    state.advance("predict")
     monkeypatch.setenv(CRASH_ENV, "3")
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Killed):
@@ -295,7 +294,7 @@ def test_prob_map_contract_violation_fails_that_case_alone(fixture_dataset, tmp_
         output_mode="probabilities",
     ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
     record = state.history[-1]
     assert record["failed"] == ["case_d"]
     assert record["fused"] == 3
@@ -321,7 +320,7 @@ def test_truncated_prob_map_fails_that_case_alone(fixture_dataset, tmp_path):
         predict_cmd=f"{EXE} {script} {{model_dir}} {{input_dir}} {{output_dir}}",
     ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
     record = state.history[-1]
     assert record["failed"] == ["case_e"]
     assert record["fused"] == 3
@@ -337,7 +336,7 @@ def test_missing_predict_dir_fails_cases_but_round_continues(fixture_dataset, tm
         output_mode="probabilities",
     ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
     assert not (tmp_path / "rounds" / "tumor_r0" / "predict_raw").exists()
     assert state.round == 1
     assert state.history[-1]["failed"] == ["case_c", "case_d", "case_e", "case_f"]
@@ -355,7 +354,7 @@ def test_predict_raw_listed_once_per_round(fixture_dataset, tmp_path, monkeypatc
             listed.append(os.path.basename(os.path.dirname(path)))
         return real_listdir(path)
 
-    monkeypatch.setattr(pipeline.os, "listdir", counting_listdir)
+    monkeypatch.setattr(os, "listdir", counting_listdir)
     run_pipeline(manifest, config, tmp_path / "work")
     assert sorted(listed) == ["organ_r0", "organ_r1", "tumor_r0", "tumor_r1"]
 
@@ -377,7 +376,7 @@ def test_tta_reduction_loads_one_channel_at_a_time_class_major(
 
     monkeypatch.setattr(pipeline, "load_nifti", tracking_load)
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
     assert state.history[-1]["failed"] == []
     # all flips of class 0, then all flips of class 14
     assert [name for name, _ in loaded[:16]] == [
@@ -389,12 +388,14 @@ def test_tta_reduction_loads_one_channel_at_a_time_class_major(
 def test_run_phase_guards(fixture_dataset, tmp_path):
     manifest, config = _load(fixture_dataset)
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    with pytest.raises(PipelineError, match="unknown phase"):
-        run_phase(state, manifest, config, "bone")
-    with pytest.raises(PipelineError, match="not 'organ'"):
-        run_phase(state, manifest, config, "organ")
     with pytest.raises(PipelineError, match="no segmenter contract"):
-        run_phase(state, manifest, replace(config, segmenter=None), "tumor")
+        run_phase(state, manifest, replace(config, segmenter=None))
+    # the state names the step that runs next, and a round is not it
+    for step in (MERGE, DONE):
+        state.phase = step
+        with pytest.raises(PipelineError, match=rf"no round is left: the run's next step is '{step}'"):
+            run_phase(state, manifest, config)
+    assert not (tmp_path / "rounds").exists()
 
 
 def test_run_phase_requires_teachers(fixture_dataset, tmp_path):
@@ -406,7 +407,7 @@ def test_run_phase_requires_teachers(fixture_dataset, tmp_path):
     )
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(PipelineError, match="no teacher cases"):
-        run_phase(state, manifest, config, "tumor")
+        run_phase(state, manifest, config)
     # nothing was staged or run
     assert not (tmp_path / "rounds").exists()
 
@@ -420,10 +421,10 @@ def test_nonzero_exit_aborts_round_with_state_intact(fixture_dataset, tmp_path):
     ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(SegmenterError, match="exited with 3"):
-        run_phase(state, manifest, config, "tumor")
+        run_phase(state, manifest, config)
     ondisk = PipelineState.load(tmp_path / "state.json")
     assert ondisk.phase == "tumor" and ondisk.round == 0
-    assert not ondisk.stage["trained"] and ondisk.cases == {}
+    assert ondisk.step == "train" and ondisk.cases == {}
     log_text = (tmp_path / "rounds" / "tumor_r0" / "logs" / "train.log").read_text()
     assert "SystemExit" in log_text or "$ " in log_text
 
@@ -464,7 +465,7 @@ def test_unlaunchable_command_raises(fixture_dataset, tmp_path):
     ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
     with pytest.raises(SegmenterError, match="cannot launch"):
-        run_phase(state, manifest, config, "tumor")
+        run_phase(state, manifest, config)
 
 
 def test_missing_outputs_fail_cases_but_round_continues(fixture_dataset, tmp_path):
@@ -476,7 +477,7 @@ def test_missing_outputs_fail_cases_but_round_continues(fixture_dataset, tmp_pat
         output_mode="labels",
     ))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
     assert state.round == 1  # the round completed
     record = state.history[-1]
     assert record["fused"] == 0
@@ -829,11 +830,11 @@ def test_round_digest_skip_and_redo(fixture_dataset, tmp_path, monkeypatch):
 
     manifest, config = _load(fixture_dataset)
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    # writes 1-3: fresh, trained, predicted; 4-7: the four students' journal lines
+    # writes 1-3: fresh, the train's end, the predict's end; 4-7: the four students' journal lines
     monkeypatch.setenv(CRASH_ENV, "7")
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Killed):
-        run_phase(state, manifest, config, "tumor")
+        run_phase(state, manifest, config)
     monkeypatch.delenv(CRASH_ENV)
 
     store = tmp_path / "pseudo_tumor"
@@ -842,7 +843,7 @@ def test_round_digest_skip_and_redo(fixture_dataset, tmp_path, monkeypatch):
     save_nifti(make_label(()), store / "case_c.nii.gz")  # altered after its journal entry
     state = PipelineState.load(tmp_path / "state.json")
     assert sorted(state.cases) == ["case_c", "case_d", "case_e", "case_f"]
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
 
     assert (store / "case_c.nii.gz").read_bytes() == pristine  # redone
     for cid, mtime in others.items():
@@ -876,7 +877,7 @@ def test_resume_after_the_last_tumor_round(completed_run, tmp_path, monkeypatch)
 
     manifest, config = completed_run["manifest"], completed_run["config"]
     work = tmp_path / "work"
-    # writes: 1 fresh; per round trained, predicted, four students, end_round (7 each)
+    # writes: 1 fresh; per round the train's end, the predict's end, four students, end_round (7 each)
     monkeypatch.setenv(CRASH_ENV, "15")
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Killed):

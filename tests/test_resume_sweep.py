@@ -1,6 +1,6 @@
-"""Two seeded kill points of ``scripts/resume_sweep.py``, which kills the
-fixture run at a state write and resumes it in the same work directory.
-The script itself tries every state write of the run."""
+"""Seeded kill points of ``scripts/resume_sweep.py``, which kills the fixture
+run at a state write or right after a file write and resumes it in the
+same work directory.  The script itself tries every such point of the run."""
 import importlib.util
 import json
 from pathlib import Path
@@ -21,5 +21,21 @@ def test_two_seeded_kill_points_resume_to_the_clean_runs_outputs(completed_run, 
     clean = completed_run["work"]
     writes = json.loads((clean / "state.json").read_text())["persist_count"]
     kills = sorted(np.random.default_rng(4).choice(np.arange(1, writes + 1), size=2, replace=False).tolist())
-    assert _script().sweep(completed_run["dataset"], clean, kills, tmp_path) == []
+    script = _script()
+    points = [(script.STATE, k) for k in kills]
+    assert script.sweep(completed_run["dataset"], clean, points, tmp_path) == []
     assert capsys.readouterr().out.splitlines() == [f"kill at state write {k}: ok" for k in kills]
+
+
+def test_seeded_kill_after_a_file_write_resumes_to_the_clean_runs_outputs(
+    completed_run, tmp_path, capsys
+):
+    # each fused case is saved once, into pseudo_<phase>/ or final/
+    files = sum(h["fused"] for h in completed_run["report"]["history"])
+    kept, truncated = np.random.default_rng(5).choice(np.arange(1, files + 1), size=2, replace=False).tolist()
+    script = _script()
+    points = [(script.FILE, kept), (script.TRUNCATED, truncated)]
+    assert script.sweep(completed_run["dataset"], completed_run["work"], points, tmp_path) == []
+    assert capsys.readouterr().out.splitlines() == [
+        f"kill at file write {kept}: ok", f"kill at truncated file write {truncated}: ok",
+    ]

@@ -1,6 +1,7 @@
 """A round stages its predict inputs on one worker thread while its
 segmenter trains, and every way that overlap can end leaves the run as a
 sequential one would."""
+import errno
 import importlib
 import json
 import os
@@ -18,7 +19,8 @@ from voxseg import cli, pipeline
 from voxseg.errors import SegmenterError
 from voxseg.fixture import make_fixture
 from voxseg.nifti import load_nifti
-from voxseg.pipeline import PipelineState, _student_records, run_phase
+from voxseg.pipeline import _student_records, run_phase, run_pipeline
+from voxseg.state import PipelineState
 from voxseg.tta import enumerate_flips
 
 from test_bench_contract import _traced
@@ -71,7 +73,7 @@ def test_predict_inputs_are_staged_while_the_train_runs(fixture_dataset, tmp_pat
         "mock_train()\n"
     )))
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
     record = state.history[-1]
     assert (record["fused"], record["failed"]) == (len(students), [])
 
@@ -96,7 +98,7 @@ def test_no_two_traced_calls_overlap(fixture_dataset, tmp_path, monkeypatch):
     monkeypatch.setattr(PipelineState, "persist", recorded(PipelineState.persist, "state.write"))
     manifest, config = _load(fixture_dataset)
     state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config, "tumor")
+    run_phase(state, manifest, config)
 
     assert len({thread for _, _, thread, _ in calls}) == 2  # the flips were staged on a worker
     calls.sort()
@@ -155,7 +157,7 @@ def test_kill_while_staging_resumes_to_a_clean_runs_outputs(tmp_path):
     assert killed.returncode == -signal.SIGKILL, killed.stderr
     work = tmp_path / "work"
     ondisk = json.loads((work / "state.json").read_text())
-    assert (ondisk["stage"]["trained"], ondisk["persist_count"]) == (False, 1)
+    assert (ondisk["step"], ondisk["persist_count"]) == ("train", 1)
     staged = list((work / "rounds" / "tumor_r0" / "predict_images").glob("*.nii.gz"))
     assert 3 <= len(staged) < 4 * TTA_FLIPS  # killed in the middle of staging
 
@@ -189,10 +191,10 @@ def test_failed_train_stops_the_staging_after_the_student_in_flight(
     state = PipelineState.fresh(tmp_path / "state.json", config)
     before = set(threading.enumerate())
     with pytest.raises(SegmenterError, match="train command exited with 1"):
-        run_phase(state, manifest, config, "tumor")
+        run_phase(state, manifest, config)
     assert set(threading.enumerate()) <= before
     ondisk = PipelineState.load(tmp_path / "state.json")
-    assert not ondisk.stage["trained"] and ondisk.persist_count == 1
+    assert (ondisk.step, ondisk.persist_count) == ("train", 1)
     staged = os.listdir(tmp_path / "rounds" / "tumor_r0" / "predict_images")
     n_students = len(_student_records(manifest, config, "tumor"))
     # whole students only, and not every student
@@ -228,6 +230,38 @@ def test_unreadable_student_fails_its_own_case(tmp_path, capsys, tta):
     assert {p.name: p.read_bytes() for p in (work / "final").iterdir()} == final
 
 
+def test_a_staging_write_error_is_raised_after_the_train_and_a_resume_restages(
+    completed_run, tmp_path, monkeypatch
+):
+    real_save = pipeline.save_nifti
+    flips = []
+
+    def disk_full_at_the_5th_flip(vol, path, **kwargs):
+        if kwargs.get("level") == 0:  # a staged flip
+            flips.append(path)
+            if len(flips) == 5:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real_save(vol, path, **kwargs)
+
+    monkeypatch.setattr(pipeline, "save_nifti", disk_full_at_the_5th_flip)
+    manifest, config, work = completed_run["manifest"], completed_run["config"], tmp_path / "work"
+    with pytest.raises(OSError) as raised:
+        run_pipeline(manifest, config, work)
+    assert raised.value.errno == errno.ENOSPC
+    ondisk = json.loads((work / "state.json").read_text())
+    assert (ondisk["step"], ondisk["persist_count"]) == ("predict", 2)  # the train is saved
+
+    monkeypatch.setattr(pipeline, "save_nifti", real_save)
+    run_pipeline(manifest, config, work)
+    train_log = (work / "rounds" / "tumor_r0" / "logs" / "train.log").read_text()
+    commands = [line for line in train_log.splitlines() if line.startswith("$ ")]
+    assert len(commands) == 1  # the resume staged again but did not train again
+    clean = completed_run["work"] / "final"
+    assert {p.name: p.read_bytes() for p in (work / "final").iterdir()} == {
+        p.name: p.read_bytes() for p in clean.iterdir()
+    }
+
+
 def test_unreadable_teacher_stops_the_run_before_the_train(tmp_path, capsys):
     data = make_fixture(tmp_path / "data", rounds=(1, 0))
     image = data["root"] / "images" / "case_a.nii.gz"  # a teacher of both phases
@@ -241,7 +275,7 @@ def test_unreadable_teacher_stops_the_run_before_the_train(tmp_path, capsys):
     train_log = work / "rounds" / "tumor_r0" / "logs" / "train.log"
     assert not train_log.exists() or "$ " not in train_log.read_text()
     ondisk = json.loads((work / "state.json").read_text())
-    assert (ondisk["stage"]["trained"], ondisk["persist_count"]) == (False, 1)
+    assert (ondisk["step"], ondisk["persist_count"]) == ("train", 1)
     assert not (work / "report.json").exists()
 
 
@@ -266,14 +300,16 @@ def test_a_resumed_round_keeps_an_unreadable_students_read_error(tmp_path, monke
     monkeypatch.setattr(pipeline, "_run_command",
                         lambda *a: kill() if a[3] == "predict" else real_run_command(*a))
     with pytest.raises(Killed):
-        run_phase(PipelineState.load(path), manifest, config, "tumor")
+        run_phase(PipelineState.load(path), manifest, config)
     monkeypatch.setattr(pipeline, "_run_command", real_run_command)
     monkeypatch.setattr(pipeline, "_process_case", kill)
     with pytest.raises(Killed):
-        run_phase(PipelineState.load(path), manifest, config, "tumor")
-    assert PipelineState.load(path).stage == {"trained": True, "predicted": True}
+        run_phase(PipelineState.load(path), manifest, config)
+    assert PipelineState.load(path).step == "fuse"
+    # the snapshot that ended the predict holds the read failure, not a journal line
+    assert json.loads(path.read_text())["cases"]["case_d"]["unread"] is True
     monkeypatch.setattr(pipeline, "_process_case", real_process_case)
-    state = run_phase(PipelineState.load(path), manifest, config, "tumor")
+    state = run_phase(PipelineState.load(path), manifest, config)
 
     record = state.history[-1]
     assert record["failed"] == ["case_d"]
