@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Kill the fixture run at each of its state and file writes, resume it, and compare with a clean run.
 
-There are three kinds of kill point, each numbered from 1 in run order:
+There are five kinds of kill point, each numbered from 1 in run order:
 
 - ``state write`` k: the run's k-th state write (a snapshot or a journal
   line) raises ``Killed``, a ``BaseException``, from
@@ -9,8 +9,16 @@ There are three kinds of kill point, each numbered from 1 in run order:
 - ``file write`` k: ``Killed`` is raised right after the run's k-th
   ``save_nifti`` into ``pseudo_tumor/``, ``pseudo_organ/`` or ``final/``,
   before that case's journal line;
-- ``truncated file write`` k: the same, with that file first cut to half
-  its length, as a kill in the middle of the write would leave it.
+- ``staged write`` k: the same after the run's k-th ``save_nifti`` of a
+  predict input into a round's ``predict_images/``, while a segmenter
+  command runs;
+- ``truncated file write`` k and ``truncated staged write`` k: the same,
+  with that file first cut to half its length, as a kill in the middle of
+  the write would leave it.
+
+A kill on the calling thread also kills a running segmenter command, as
+it would be when the process is killed; the state writes of the tumor
+phase's last fuse fall while the organ phase's first train runs.
 
 The run is then resumed in the same work directory.  A kill point passes
 when the resumed run's ``final/`` files hold the clean run's bytes and its
@@ -19,10 +27,10 @@ process:
 
     PYTHONPATH=src python scripts/resume_sweep.py [--root R] [--kills K ...] [--file-kills K ...]
 
-By default every state write and every file write of the clean run is a
-kill point, the file writes once as written and once truncated; with
-``--kills`` or ``--file-kills``, only the points given.  Exits 1 when any
-kill point fails, after printing one line per kill point.
+By default every state write, file write and staged write of the clean
+run is a kill point, the file and staged writes once as written and once
+truncated; with ``--kills`` or ``--file-kills``, only the points given.
+Exits 1 when any kill point fails, after printing one line per kill point.
 """
 import argparse
 import json
@@ -41,8 +49,17 @@ from voxseg.pipeline import run_pipeline
 from voxseg.state import PipelineState
 
 STATE, FILE, TRUNCATED = "state write", "file write", "truncated file write"
+STAGED, TRUNCATED_STAGED = "staged write", "truncated staged write"
 # the directories whose files a case's journal line vouches for
 STORES = ("pseudo_tumor", "pseudo_organ", "final")
+# each kind of file-write kill point: the directories whose saves it
+# counts, and whether it cuts the file to half its length
+FILE_KINDS = {
+    FILE: (STORES, False),
+    TRUNCATED: (STORES, True),
+    STAGED: (("predict_images",), False),
+    TRUNCATED_STAGED: (("predict_images",), True),
+}
 
 
 class Killed(BaseException):
@@ -52,20 +69,25 @@ class Killed(BaseException):
 @contextmanager
 def killing(kind: str, k: int):
     """Within it, a run raises ``Killed`` at its ``k``-th kill point of
-    ``kind`` (``k`` = 0: never); yields the paths it saves into ``STORES``."""
+    ``kind`` (``k`` = 0: never); yields every path it saves, in order."""
     saved = []
     real_hook, real_save = PipelineState._crash_hook, pipeline.save_nifti
+    dirs, truncate = FILE_KINDS.get(kind, ((), False))
 
     def hook(state):
         if kind == STATE and state.persist_count == k:
             raise Killed(kind, k)
 
+    counted = 0
+
     def save(vol, path, *args, **kwargs):
+        nonlocal counted
         real_save(vol, path, *args, **kwargs)
-        if Path(path).parent.name in STORES:
-            saved.append(path)
-            if kind != STATE and len(saved) == k:
-                if kind == TRUNCATED:
+        saved.append(path)
+        if Path(path).parent.name in dirs:
+            counted += 1
+            if counted == k:
+                if truncate:
                     os.truncate(path, os.path.getsize(path) // 2)
                 raise Killed(kind, k)
 
@@ -74,6 +96,11 @@ def killing(kind: str, k: int):
         yield saved
     finally:
         PipelineState._crash_hook, pipeline.save_nifti = real_hook, real_save
+
+
+def count_saves(saved: list, kind: str) -> int:
+    """How many of the ``saved`` paths are kill points of ``kind``."""
+    return sum(Path(p).parent.name in FILE_KINDS[kind][0] for p in saved)
 
 
 def outputs(work: Path) -> tuple[dict, list]:
@@ -129,14 +156,16 @@ def main() -> int:
     clean = root / "clean"
     with killing(STATE, 0) as saved:
         run_pipeline(load_manifest(dataset["manifest"]), load_config(dataset["config"]), clean)
-    writes, files = json.loads((clean / "state.json").read_text())["persist_count"], len(saved)
-    kills, file_kills = args.kills, args.file_kills
+    writes = json.loads((clean / "state.json").read_text())["persist_count"]
+    files, staged = count_saves(saved, FILE), count_saves(saved, STAGED)
+    kills, file_kills, staged_kills = args.kills, args.file_kills, []
     if not (kills or file_kills):
-        kills, file_kills = range(1, writes + 1), range(1, files + 1)
-    points = [(STATE, k) for k in kills] + [(kind, k) for k in file_kills for kind in (FILE, TRUNCATED)]
+        kills, file_kills, staged_kills = range(1, writes + 1), range(1, files + 1), range(1, staged + 1)
+    points = ([(STATE, k) for k in kills] + [(kind, k) for k in file_kills for kind in (FILE, TRUNCATED)]
+              + [(kind, k) for k in staged_kills for kind in (STAGED, TRUNCATED_STAGED)])
     failed = sweep(dataset, clean, points, root)
     print(f"{len(points) - len(failed)} of {len(points)} kill point(s) resumed to the clean run's "
-          f"outputs ({writes} state writes and {files} file writes in a clean run)")
+          f"outputs ({writes} state writes, {files} file writes and {staged} staged writes in a clean run)")
     print(f"elapsed: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 1 if failed else 0
 

@@ -10,7 +10,9 @@ Standard output ends with a sha256 of each *decoded* final label array
 (shape, then voxel bytes in x-fastest order), which does not depend on
 gzip settings.  With one ``--root`` it is the same for two checkouts that
 produce the same labels, so their outputs can be compared with ``diff``;
-the elapsed time goes to standard error.
+the elapsed time goes to standard error.  Every fixture case has its own
+blob placement, so the run fails (exit 1) unless the digests are
+pairwise distinct: a case's labels in another case's file would show.
 """
 import argparse
 import hashlib
@@ -66,6 +68,8 @@ def main() -> None:
     decoded = {cid: array_digest(final / f"{cid}.nii.gz") for cid in sorted(report["final_labels"])}
     print(json.dumps({"work": str(root / "work"), "cases": sorted(report["final_labels"]),
                       "decoded_sha256": decoded}, indent=2))
+    if len(set(decoded.values())) != len(decoded):
+        sys.exit("error: two cases have the same final labels")
 
 
 if __name__ == "__main__":

@@ -4,15 +4,17 @@ Each case is a 24x24x16 volume (spacing 1x1x2.5 mm) holding four 4x4x4
 blobs: organs 1, 3, 5 and a tumor (14).  Blob intensity is a per-class
 base plus a per-case offset, so a band model trained on few cases misses
 the far-offset held-out case and captures it once the pseudo-labeled
-mid-offset cases join the training pool:
+mid-offset cases join the training pool.  Each case shifts its four blobs
+by its own voxel offset, so no two cases share a label map and a case's
+labels written into another case's file would show:
 
-    case    offset  annotation      role
-    case_a   0.0    full            teacher for both phases
-    case_b   2.0    tumor_only      tumor teacher, organ student
-    case_c   4.0    organ_only      organ teacher, tumor student
-    case_d   5.0    unlabeled       student
-    case_e   5.5    unlabeled       student
-    case_f   8.0    full            held-out evaluation case
+    case    offset  shift       annotation      role
+    case_a   0.0    (0, 0, 0)   full            teacher for both phases
+    case_b   2.0    (1, 2, 0)   tumor_only      tumor teacher, organ student
+    case_c   4.0    (2, 4, 1)   organ_only      organ teacher, tumor student
+    case_d   5.0    (3, 6, -1)  unlabeled       student
+    case_e   5.5    (4, 8, 2)   unlabeled       student
+    case_f   8.0    (5, 1, -2)  full            held-out evaluation case
 
 Round 1 bands (teacher offsets {0,2} or {0,4}, sigma floored at 2.0)
 span about +/-5 around their mean, which covers offsets up to ~7 but not
@@ -47,6 +49,15 @@ CASE_OFFSETS = {
     "case_e": 5.5,
     "case_f": 8.0,
 }
+# (dx, dy, dz) added to every blob of the case; all blobs stay inside the grid
+CASE_SHIFTS = {
+    "case_a": (0, 0, 0),
+    "case_b": (1, 2, 0),
+    "case_c": (2, 4, 1),
+    "case_d": (3, 6, -1),
+    "case_e": (4, 8, 2),
+    "case_f": (5, 1, -2),
+}
 CASE_STATUS = {
     "case_a": "full",
     "case_b": "tumor_only",
@@ -59,30 +70,26 @@ ORGAN_ONLY_CLASSES = (1, 3, 5)
 EVAL_CASES = ("case_f",)
 
 
-def blob_slices(class_id: int) -> tuple[slice, slice, slice]:
+def blob_slices(class_id: int, shift=(0, 0, 0)) -> tuple[slice, slice, slice]:
     x0, y0 = BLOB_CORNERS[class_id]
-    return (
-        slice(x0, x0 + BLOB_SIZE),
-        slice(y0, y0 + BLOB_SIZE),
-        slice(BLOB_Z0, BLOB_Z0 + BLOB_SIZE),
-    )
+    return tuple(slice(lo + d, lo + d + BLOB_SIZE) for lo, d in zip((x0, y0, BLOB_Z0), shift))
 
 
-def make_image(offset: float) -> Volume:
+def make_image(offset: float, shift=(0, 0, 0)) -> Volume:
     data = np.zeros(FIXTURE_DIMS, dtype=np.float64)
     for c, base in BLOB_BASE.items():
-        data[blob_slices(c)] = base + offset
+        data[blob_slices(c, shift)] = base + offset
     # integral intensities round-trip as int16; case_e needs float32
     if offset == int(offset):
         return Volume(data.astype(np.int16), FIXTURE_SPACING)
     return Volume(data.astype(np.float32), FIXTURE_SPACING)
 
 
-def make_label(classes) -> Volume:
+def make_label(classes, shift=(0, 0, 0)) -> Volume:
     data = np.zeros(FIXTURE_DIMS, dtype=np.uint8)
     for c in classes:
         if c in BLOB_CORNERS:
-            data[blob_slices(c)] = c
+            data[blob_slices(c, shift)] = c
     return Volume(data, FIXTURE_SPACING)
 
 
@@ -126,7 +133,7 @@ def make_fixture(root, tta: bool = True, rounds: tuple[int, int] = (2, 2)) -> di
     records = []
     for case_id, offset in CASE_OFFSETS.items():
         image_rel = f"images/{case_id}.nii.gz"
-        save_nifti(make_image(offset), root / image_rel)
+        save_nifti(make_image(offset, CASE_SHIFTS[case_id]), root / image_rel)
         status = CASE_STATUS[case_id]
         record = {
             "case_id": case_id,
@@ -136,7 +143,7 @@ def make_fixture(root, tta: bool = True, rounds: tuple[int, int] = (2, 2)) -> di
         classes = _label_classes(case_id)
         if classes:
             label_rel = f"labels/{case_id}.nii.gz"
-            save_nifti(make_label(classes), root / label_rel)
+            save_nifti(make_label(classes, CASE_SHIFTS[case_id]), root / label_rel)
             record["label_path"] = label_rel
         if status == "organ_only":
             record["annotated_classes"] = list(classes)

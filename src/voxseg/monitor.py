@@ -3,17 +3,24 @@ pluggable probe, then integrate the memory-time curve above a floor.
 
 The probe is any command printing one integer (bytes) to stdout, split by
 ``split_command`` with ``{pid}`` set to the monitored process id. The builtin
-probe ``self-rss`` reads the child's RSS from /proc without spawning."""
+probe ``self-rss`` reads the child's RSS from /proc without spawning.
+
+A command never outlives the thread that started it: it gets SIGKILL
+(``PR_SET_PDEATHSIG``, Linux) when that thread ends, and so when the
+process ends in any way, SIGKILL included."""
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import os
 import resource
 import select
 import shlex
+import signal
 import string
 import subprocess
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -26,6 +33,11 @@ MEM_FLOOR_GB = 4.0
 BYTES_PER_GB = 1024**3
 DEFAULT_PERIOD_S = 0.1
 SELF_RSS_PROBE = "self-rss"
+
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+# looked up before any fork: the child only calls it
+_prctl = ctypes.CDLL(None, use_errno=True).prctl
+_prctl.argtypes, _prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -91,17 +103,30 @@ def _run_probe(probe: str, pid: int) -> int | None:
         return None
 
 
+def _die_with_launcher(launcher: int):
+    """A ``preexec_fn`` that has the child killed when the thread that
+    forked it ends, or at once when process ``launcher`` already has."""
+    def preexec():
+        _prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != launcher:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return preexec
+
+
 def sample_run(
     argv: list[str],
     probe: str = SELF_RSS_PROBE,
     period_s: float = DEFAULT_PERIOD_S,
     output=None,
+    stop: threading.Event | None = None,
 ) -> tuple[int, ResourceTrace]:
     """Run ``argv`` to completion, sampling memory every ``period_s``; its
     stdout and stderr go to the file object ``output`` when given.
 
     Returns the exit status and the trace, which always includes a final
-    sample taken after exit.  An interrupted caller kills the command.
+    sample taken after exit.  An interrupted caller kills the command, and
+    so does setting ``stop`` from another thread, seen within ``period_s``;
+    the status is then that of the kill.
     """
     if not 0 < period_s < float("inf"):
         raise VoxsegError(f"period must be positive and finite, got {period_s}")
@@ -111,11 +136,14 @@ def sample_run(
         split_command(probe, {"pid": 0})  # a bad probe fails before the command starts
     start = time.perf_counter()
     samples: list[tuple[float, int]] = []
-    with subprocess.Popen(argv, stdout=output, stderr=output) as proc:
+    preexec = _die_with_launcher(os.getpid())
+    with subprocess.Popen(argv, stdout=output, stderr=output, preexec_fn=preexec) as proc:
         try:
             exited = os.pidfd_open(proc.pid)  # readable as soon as the command exits
             try:
                 while True:
+                    if stop is not None and stop.is_set():
+                        proc.kill()
                     mem = _run_probe(probe, proc.pid)
                     t = time.perf_counter() - start
                     if mem is not None and (not samples or t > samples[-1][0]):

@@ -2,7 +2,10 @@
 
 Supported: 3D volumes, datatypes uint8/int16/uint16/float32, data at
 offset 352, optional gzip (found by content on load, by a ``.gz`` suffix
-on save; a truncated or corrupt stream raises ``NiftiError``).
+on save; a truncated or corrupt stream raises ``NiftiError``).  A gzip
+file of one member, as every writer here makes, is inflated by zlib into
+one buffer of the size its trailer states, which checks the CRC-32 and
+the length on the way; any other goes through ``gzip.decompress``.
 ``scl_slope``/``scl_inter`` are applied on load (slope 0 means "no
 scaling") and written back as (1, 0).
 Orientation fields are carried as opaque bytes, never interpreted.
@@ -51,6 +54,8 @@ _EXTRA_SLICE = slice(252, 344)
 
 _GZIP_MAGIC = b"\x1f\x8b"
 GZIP_LEVEL = 1
+# deflate's largest ratio of inflated to compressed size is about 1032
+_MAX_RATIO = 1032
 # what a truncated or corrupt gzip stream raises while it is read
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
 
@@ -85,15 +90,31 @@ def find_nifti(directory, stem: str) -> Path | None:
     return None
 
 
-def _read_bytes(path) -> bytes:
+def _read_bytes(path) -> tuple[bytes, memoryview]:
+    """The file's decompressed bytes as its first ``DATA_OFFSET`` bytes and
+    the rest.  A gzip file of one member is inflated into a single buffer
+    of the size its trailer states; any other gzip file goes through
+    ``gzip.decompress``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] != _GZIP_MAGIC:
-        return raw
+        return raw[:DATA_OFFSET], memoryview(raw)[DATA_OFFSET:]
+    size = int.from_bytes(raw[-4:], "little")  # ISIZE: the inflated length mod 2**32
+    if DATA_OFFSET < size <= _MAX_RATIO * len(raw):
+        inflate = zlib.decompressobj(31)  # zlib checks the gzip CRC-32 and ISIZE itself
+        try:
+            head = inflate.decompress(raw, DATA_OFFSET)
+            body = inflate.flush(size - DATA_OFFSET)
+        except zlib.error:
+            pass  # reported below, in gzip's words
+        else:
+            if inflate.eof and not inflate.unused_data:
+                return head, memoryview(body)
     try:
-        return gzip.decompress(raw)
+        raw = gzip.decompress(raw)  # several members, trailing bytes, or an error
     except _GZIP_ERRORS as exc:
         raise NiftiError(f"{path}: truncated or corrupt gzip stream: {exc}") from exc
+    return raw[:DATA_OFFSET], memoryview(raw)[DATA_OFFSET:]
 
 
 def _parse_header(raw: bytes, path) -> dict:
@@ -159,12 +180,12 @@ def load_nifti(path) -> Volume:
     The data array is writable and x-fastest (Fortran order), like the
     payload, so it is copied out of the file buffer without a transpose.
     """
-    raw = _read_bytes(path)
-    hdr = _parse_header(raw, path)
+    head, body = _read_bytes(path)
+    hdr = _parse_header(head, path)
     nx, ny, nz = hdr["dims"]
     dtype = hdr["dtype"]
     nbytes = nx * ny * nz * dtype.itemsize
-    payload = memoryview(raw)[DATA_OFFSET : DATA_OFFSET + nbytes]
+    payload = body[:nbytes]
     if len(payload) < nbytes:
         raise NiftiError(
             f"{path}: truncated payload ({len(payload)} bytes, need {nbytes})"

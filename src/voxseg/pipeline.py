@@ -12,12 +12,23 @@ handed to the segmenter (``_stage_image``): a teacher's is then copied and
 its label put on its header, and an image that cannot be read stops the
 round before ``train_cmd`` starts; a student's, with or without TTA, is
 staged as its 8 flips or as a copy, and one that cannot be read fails
-that student alone.  A round's predict inputs depend on no model, so one
-worker thread stages them while ``train_cmd`` runs and the calling thread
-only waits on it; a round resumed after its train stages them on the
-calling thread.  Cases still fuse one at a time, in manifest order, on
-the calling thread.  A case's grid is its image's header: every map read
+that student alone.  A case's grid is its image's header: every map read
 is checked against it and every map written is built on it.
+
+One thread rule: a worker thread (``_Segmenter``) only waits on a
+segmenter command, and every file voxseg reads or writes is handled on
+the calling thread, so that one traced call never overlaps another.
+While a round trains, the calling thread stages its predict inputs, which
+depend on no model; a round resumed after its train stages them before
+``predict_cmd``.  The phases share no class, so the organ phase's first
+round needs nothing the tumor phase writes: in ``run_pipeline``, while
+the tumor phase's last ``predict_cmd`` runs, the calling thread stages
+that organ round's teachers and predict inputs; as soon as the predict
+exits it starts the organ train, then fuses the tumor round while the
+organ model trains.  Rounds of one phase never overlap.  Any exception on
+the calling thread kills a running command and waits for it before it
+goes on, and a command never outlives the process
+(``monitor.sample_run``).  Cases fuse one at a time, in manifest order.
 
 A round runs as the steps ``voxseg.state.ROUND_STEPS`` names, and the
 run's snapshot (``voxseg.state.PipelineState``) records the next one, so a
@@ -49,7 +60,7 @@ import re
 import shlex
 import shutil
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +73,7 @@ from .metrics import aggregate_cohort, evaluate_case
 from .monitor import sample_run, split_command
 from .nifti import find_nifti, load_nifti, nifti_files, peek_nifti, save_nifti
 from .postprocess import keep_largest
-from .state import DONE, MERGE, PHASE_CLASSES, PipelineState, write_json
+from .state import DONE, MERGE, PHASE_CLASSES, PipelineState, next_step, write_json
 from . import tta
 from .tta import PROB_INFIX, TTA_INFIX, FlipSpec, apply_flip, enumerate_flips, flip_mean, label_argmax
 from .volume import PROB_TOL, TUMOR_CLASS, Volume, check_labelmap, check_same_grid, labelmap_like
@@ -120,7 +131,9 @@ def _student_records(manifest: Manifest, config: PipelineConfig, phase: str) -> 
     return [r for r in manifest.cases if r.case_id not in teacher_ids]
 
 
-def _run_command(template: str, paths: dict, log_path: Path, what: str) -> None:
+def _run_command(
+    template: str, paths: dict, log_path: Path, what: str, stop: threading.Event | None = None
+) -> None:
     argv = split_command(template, {k: str(v) for k, v in paths.items()})  # str, as checked at load
     cmd = shlex.join(argv)
     log.info("running %s: %s", what, cmd)
@@ -128,13 +141,39 @@ def _run_command(template: str, paths: dict, log_path: Path, what: str) -> None:
         with open(log_path, "ab") as fh:
             fh.write(f"$ {cmd}\n".encode())
             fh.flush()
-            code, trace = sample_run(argv, output=fh)
+            code, trace = sample_run(argv, output=fh, stop=stop)
             fh.write(f"# voxseg: exit {code} after {trace.samples[-1][0]:.2f} s, peak RSS "
                      f"{trace.peak_bytes / 2**20:.1f} MB (launched process only)\n".encode())
     except OSError as exc:
         raise SegmenterError(f"cannot launch {what} command {argv[0]!r}: {exc}") from exc
     if code != 0:
         raise SegmenterError(f"{what} command exited with {code}; see {log_path}")
+
+
+class _Segmenter:
+    """Runs segmenter commands on one worker thread, which only waits on
+    them, so the calling thread handles every file meanwhile.  Leaving the
+    ``with`` block by any exception kills a running command and waits for
+    it before the exception goes on."""
+
+    def __enter__(self) -> "_Segmenter":
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._stop = threading.Event()
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self._stop.set()
+        self._pool.shutdown()
+
+    def start(self, template: str, paths: dict, log_path: Path, what: str) -> Future:
+        """Start a command; the future ends with it."""
+        return self._pool.submit(_run_command, template, paths, log_path, what, self._stop)
+
+    def train(self, config: PipelineConfig, rd: Path) -> Future:
+        """Start the train of the round in ``rd``, whose teachers are staged."""
+        paths = {"train_dir": rd / "train_images", "label_dir": rd / "train_labels", "model_dir": rd / "model"}
+        return self.start(config.segmenter.train_cmd, paths, rd / "logs" / "train.log", "train")
 
 
 def _fresh_dir(path: Path) -> Path:
@@ -148,10 +187,12 @@ def _build_train_dirs(
     rd: Path, manifest: Manifest, config: PipelineConfig, phase: str,
     teachers: list[CaseRecord], students: list[CaseRecord],
 ) -> int:
-    """Stage teacher images/labels for train_cmd; returns the case count.
-    An image that cannot be read raises before anything is trained."""
+    """Stage teacher images/labels for train_cmd and make its model
+    directory; returns the case count.  An image that cannot be read
+    raises before anything is trained."""
     img_dir = _fresh_dir(rd / "train_images")
     lab_dir = _fresh_dir(rd / "train_labels")
+    (rd / "model").mkdir(exist_ok=True)
     classes = PHASE_CLASSES[phase]
     count = 0
     for rec in teachers:
@@ -200,15 +241,16 @@ def _stage_image(manifest: Manifest, rec: CaseRecord, img_dir: Path, use_tta: bo
 
 
 def _write_predict_inputs(
-    rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool, stop: threading.Event
+    rd: Path, manifest: Manifest, students: list[CaseRecord], use_tta: bool, running: Future | None = None
 ) -> dict[str, str]:
-    """Stage each student's predict inputs in turn, until ``stop`` is set;
-    returns ``{case_id: error}`` for the students whose image cannot be
-    read, for which nothing is staged.  A write error is raised."""
+    """Stage each student's predict inputs in turn, until the segmenter
+    command ``running`` has failed; returns ``{case_id: error}`` for the
+    students whose image cannot be read, for which nothing is staged.  A
+    write error is raised."""
     img_dir = _fresh_dir(rd / "predict_images")
     unreadable = {}
     for rec in students:
-        if stop.is_set():
+        if running is not None and running.done() and running.exception() is not None:
             break
         try:
             _stage_image(manifest, rec, img_dir, use_tta)
@@ -394,6 +436,42 @@ def _evaluate_held_out(work: Path, manifest: Manifest, config: PipelineConfig) -
 def run_phase(state: PipelineState, manifest: Manifest, config: PipelineConfig) -> PipelineState:
     """Run the round ``state`` names, from its next step, with
     ``config.segmenter``."""
+    with _Segmenter() as segmenter:
+        _run_round(state, manifest, config, segmenter)
+    return state
+
+
+def _stage_ahead(
+    manifest: Manifest, config: PipelineConfig, work: Path, phase: str, running: Future | None
+) -> dict | None:
+    """Stage the teachers and the predict inputs of round 0 of ``phase``
+    while ``running`` runs; returns the students' read failures, or None
+    when the round cannot be staged now, so that it stages again, and
+    fails, at its own train step."""
+    rd = _round_dir(work, phase, 0)
+    (rd / "logs").mkdir(parents=True, exist_ok=True)
+    teachers, students = _teacher_records(manifest, config, phase), _student_records(manifest, config, phase)
+    use_tta = config.tta and config.segmenter.output_mode == "probabilities"
+    try:
+        _build_train_dirs(rd, manifest, config, phase, teachers, students)
+        return _write_predict_inputs(rd, manifest, students, use_tta, running)
+    except (VoxsegError, OSError) as exc:
+        log.warning("%s round 0 cannot be staged yet: %s", phase, exc)
+        return None
+
+
+def _run_round(
+    state: PipelineState, manifest: Manifest, config: PipelineConfig, segmenter: _Segmenter,
+    ahead: tuple[Future, dict] | None = None, start_next: bool = False,
+) -> tuple[Future, dict] | None:
+    """Run the round ``state`` names, from its next step.
+
+    ``ahead`` is ``(train, read failures)`` when the round before staged
+    this round's teachers and predict inputs and started its train.  With
+    ``start_next``, when the next round belongs to the other phase, this
+    round does that for it, and returns the pair: it stages while its
+    ``predict_cmd`` runs, and starts the train before it fuses.
+    """
     phase = state.phase
     if phase not in PHASE_CLASSES:
         raise PipelineError(f"no round is left: the run's next step is {phase!r}; `voxseg run` merges")
@@ -415,50 +493,52 @@ def run_phase(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
         "phase %s round %d: %d teacher(s), %d student(s)", phase, rnd, len(teachers), len(students)
     )
 
-    staging = None
+    unreadable = None
     if state.step == "train":
-        n = _build_train_dirs(rd, manifest, config, phase, teachers, students)
-        model_dir = rd / "model"
-        model_dir.mkdir(exist_ok=True)
-        # the predict inputs do not depend on the model, so one worker
-        # stages them while the train runs; until the pool has ended, this
-        # thread only waits on the train command
-        stop = threading.Event()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            staging = pool.submit(_write_predict_inputs, rd, manifest, students, use_tta, stop)
+        staging_error = None
+        if ahead:
+            train, unreadable = ahead
+        else:
+            n = _build_train_dirs(rd, manifest, config, phase, teachers, students)
+            log.info("training on %d case(s)", n)
+            train = segmenter.train(config, rd)
+            # the predict inputs do not depend on the model: staged while it trains
             try:
-                _run_command(
-                    contract.train_cmd,
-                    {"train_dir": rd / "train_images", "label_dir": rd / "train_labels",
-                     "model_dir": model_dir},
-                    rd / "logs" / "train.log",
-                    "train",
-                )
-            except BaseException:
-                stop.set()  # the student in flight finishes, the rest are dropped
-                raise
-        log.info("trained on %d case(s)", n)
+                unreadable = _write_predict_inputs(rd, manifest, students, use_tta, train)
+            except OSError as exc:  # raised once the train is saved; the resumed round stages again
+                staging_error = exc
+        train.result()
         state.advance("predict")
+        if staging_error is not None:
+            raise staging_error
 
+    following = None
     if state.step == "predict":
-        # a staging write error is raised once the train is saved; a round
-        # resumed after its train stages again
-        unreadable = (
-            staging.result() if staging
-            else _write_predict_inputs(rd, manifest, students, use_tta, threading.Event())
-        )
+        if unreadable is None:  # a round resumed after its train
+            unreadable = _write_predict_inputs(rd, manifest, students, use_tta)
         for case_id, error in unreadable.items():
             state.cases[case_id] = {"status": FAILED, "error": error, "unread": True}
+        predict = None
         if len(unreadable) < len(students):  # a segmenter may refuse an empty input directory
             (rd / "predict_raw").mkdir(exist_ok=True)
-            _run_command(
+            predict = segmenter.start(
                 contract.predict_cmd,
                 {"model_dir": rd / "model", "input_dir": rd / "predict_images",
                  "output_dir": rd / "predict_raw"},
                 rd / "logs" / "predict.log",
                 "predict",
             )
+        next_phase, _ = next_step(config, phase, rnd + 1)
+        # the phases share no class: the other phase's first round needs
+        # nothing this phase writes
+        staged = None
+        if start_next and next_phase in PHASE_CLASSES and next_phase != phase:
+            staged = _stage_ahead(manifest, config, work, next_phase, predict)
+        if predict is not None:
+            predict.result()
         state.advance("fuse")  # with the read failures
+        if staged is not None:
+            following = (segmenter.train(config, _round_dir(work, next_phase, 0)), staged)
     # a student whose image cannot be read is neither predicted nor fused, also on resume
     readable = [rec for rec in students if "unread" not in state.cases.get(rec.case_id, {})]
 
@@ -483,7 +563,7 @@ def run_phase(state: PipelineState, manifest: Manifest, config: PipelineConfig) 
             "phase %s round %d held-out mean DSC: %.4f", phase, rnd, evaluation["mean_dsc"]
         )
     state.end_round(record, config)
-    return state
+    return following
 
 
 def _phase_component(work: Path, head: Volume, rec: CaseRecord, phase: str) -> Volume:
@@ -629,11 +709,13 @@ def run_pipeline(manifest: Manifest, config: PipelineConfig, work) -> dict:
     work = Path(work)
     state = open_state(manifest, config, work)
 
-    while state.phase != DONE:
-        if state.phase == MERGE:
-            run_merge(state, manifest, config)
-        else:
-            run_phase(state, manifest, config)
+    with _Segmenter() as segmenter:
+        ahead = None
+        while state.phase != DONE:
+            if state.phase == MERGE:
+                run_merge(state, manifest, config)
+            else:
+                ahead = _run_round(state, manifest, config, segmenter, ahead, start_next=True)
 
     report = _build_report(state)
     write_json(report, work / "report.json")

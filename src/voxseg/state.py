@@ -42,7 +42,7 @@ def write_json(data: dict, path) -> None:
     os.replace(tmp, path)
 
 
-def _next_step(config: PipelineConfig, phase: str, rnd: int) -> tuple[str, int]:
+def next_step(config: PipelineConfig, phase: str, rnd: int) -> tuple[str, int]:
     """The step that runs once ``rnd`` rounds of ``phase`` are done: round
     ``rnd`` of ``phase`` if configured, else round 0 of the next phase in
     ``PHASE_CLASSES`` order that has rounds, else the merge."""
@@ -79,7 +79,7 @@ class PipelineState:
 
     @classmethod
     def fresh(cls, path, config: PipelineConfig) -> "PipelineState":
-        phase, rnd = _next_step(config, next(iter(PHASE_CLASSES)), 0)
+        phase, rnd = next_step(config, next(iter(PHASE_CLASSES)), 0)
         state = cls(
             path=Path(path), version=STATE_VERSION, phase=phase, round=rnd, step=ROUND_STEPS[0],
             cases={}, history=[], persist_count=0, config=config.to_dict(),
@@ -164,7 +164,7 @@ class PipelineState:
 
     def end_round(self, record: dict, config: PipelineConfig) -> None:
         self.history.append(record)
-        self.phase, self.round = _next_step(config, self.phase, self.round + 1)
+        self.phase, self.round = next_step(config, self.phase, self.round + 1)
         self.step = ROUND_STEPS[0]
         self.cases = {}
         self.persist()

@@ -6,6 +6,7 @@ from voxseg.fixture import (
     BLOB_BASE,
     BLOB_SIZE,
     CASE_OFFSETS,
+    CASE_SHIFTS,
     CASE_STATUS,
     EVAL_CASES,
     FIXTURE_DIMS,
@@ -29,6 +30,18 @@ def test_blob_geometry():
     lab = make_label((1, 3, 5, 14))
     for c in (1, 3, 5, 14):
         assert (lab.data == c).sum() == BLOB_SIZE**3
+
+
+def test_each_case_places_its_blobs_inside_the_grid_and_apart_from_every_other(fixture_dataset):
+    assert list(CASE_SHIFTS) == list(CASE_OFFSETS)
+    labels = {}
+    for cid, shift in CASE_SHIFTS.items():
+        for c in (1, 3, 5, 14):
+            assert all(0 <= s.start and s.stop <= n for s, n in zip(blob_slices(c, shift), FIXTURE_DIMS))
+        img = load_nifti(fixture_dataset["root"] / "images" / f"{cid}.nii.gz")
+        labels[cid] = (img.data > 0).tobytes()
+        assert np.array_equal(img.data > 0, make_label((1, 3, 5, 14), shift).data > 0)
+    assert len(set(labels.values())) == len(labels)
 
 
 def test_image_intensities():

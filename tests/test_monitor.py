@@ -4,6 +4,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -254,6 +255,15 @@ def test_interrupted_sample_run_kills_its_command(tmp_path):
         parent.wait()
         if pid_file.exists() and pid_file.read_text() and _running(int(pid_file.read_text())):
             os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+def test_setting_stop_from_another_thread_kills_the_command():
+    stop = threading.Event()
+    threading.Timer(0.2, stop.set).start()
+    start = time.monotonic()
+    code, trace = sample_run([sys.executable, "-c", "import time; time.sleep(30)"], period_s=0.05, stop=stop)
+    assert code == -signal.SIGKILL
+    assert time.monotonic() - start < 5
 
 
 SPACED = "/tmp/a b/model"

@@ -312,6 +312,44 @@ def test_corrupt_gzip_raises_nifti_error(tmp_path):
             read(path)
 
 
+def _two_members(raw: bytes) -> bytes:
+    plain = gzip.decompress(raw)
+    return gzip.compress(plain[:DATA_OFFSET]) + gzip.compress(plain[DATA_OFFSET:])
+
+
+def _with_trailer(raw: bytes, crc_xor: int = 0, size_xor: int = 0) -> bytes:
+    crc, size = struct.unpack("<II", raw[-8:])
+    return raw[:-8] + struct.pack("<II", crc ^ crc_xor, size ^ size_xor)
+
+
+@pytest.mark.parametrize("alter", [
+    _two_members,
+    lambda raw: raw + b"\x00" * 8,  # zero padding, which gzip skips
+    lambda raw: raw + b"trailing",
+    lambda raw: _with_trailer(raw, crc_xor=1),
+    lambda raw: _with_trailer(raw, size_xor=1),
+    lambda raw: _with_trailer(raw, size_xor=1 << 30),  # beyond any deflate ratio
+], ids=["two_members", "zero_padding", "trailing_bytes", "bad_crc", "bad_size", "huge_size"])
+def test_gzip_files_load_as_gzip_decompress_reads_them(tmp_path, alter):
+    # a one-member file is inflated on its own path; every other file
+    # gives gzip.decompress's result or error text, as before that path
+    rng = np.random.default_rng(11)
+    vol = Volume(rng.normal(0, 1, (9, 7, 5)).astype(np.float32), Spacing(1, 1, 2))
+    path = tmp_path / "v.nii.gz"
+    save_nifti(vol, path)
+    raw = alter(path.read_bytes())
+    path.write_bytes(raw)
+    try:
+        plain = tmp_path / "v.nii"
+        plain.write_bytes(gzip.decompress(raw))
+    except (EOFError, gzip.BadGzipFile) as exc:
+        with pytest.raises(NiftiError) as raised:
+            load_nifti(path)
+        assert str(raised.value) == f"{path}: truncated or corrupt gzip stream: {exc}"
+    else:
+        assert np.array_equal(load_nifti(path).data, load_nifti(plain).data)
+
+
 def test_file_naming_rule(tmp_path):
     assert nifti_stem("a.b.nii.gz") == "a.b"
     assert nifti_stem("a.nii") == "a"

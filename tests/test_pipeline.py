@@ -14,7 +14,7 @@ import pytest
 
 from voxseg.config import PipelineConfig, SegmenterContract, load_config
 from voxseg.errors import PipelineError, SegmenterError, VoxsegError
-from voxseg.fixture import FIXTURE_SPACING, blob_slices, make_label
+from voxseg.fixture import CASE_SHIFTS, FIXTURE_SPACING, blob_slices, make_label
 from voxseg.manifest import load_manifest
 from voxseg.nifti import load_nifti, save_nifti
 from voxseg import pipeline
@@ -519,10 +519,9 @@ def test_full_run_eval_improves_each_round(completed_run):
 
 
 def test_full_run_finals_match_designed_labels(completed_run):
-    want = make_label((1, 3, 5, 14)).data
     for cid in [f"case_{s}" for s in "abcdef"]:
         got = load_nifti(completed_run["work"] / "final" / f"{cid}.nii.gz")
-        assert np.array_equal(got.data, want), cid
+        assert np.array_equal(got.data, make_label((1, 3, 5, 14), CASE_SHIFTS[cid]).data), cid
         assert set(np.unique(got.data)) == {0, 1, 3, 5, 14}
 
 
@@ -661,8 +660,8 @@ def test_degenerate_run_uses_only_ground_truth(fixture_dataset, tmp_path):
     final = tmp_path / "work" / "final"
     full = make_label((1, 3, 5, 14)).data
     assert np.array_equal(load_nifti(final / "case_a.nii.gz").data, full)
-    assert np.array_equal(load_nifti(final / "case_b.nii.gz").data, make_label((14,)).data)
-    assert np.array_equal(load_nifti(final / "case_c.nii.gz").data, make_label((1, 3, 5)).data)
+    assert np.array_equal(load_nifti(final / "case_b.nii.gz").data, make_label((14,), CASE_SHIFTS["case_b"]).data)
+    assert np.array_equal(load_nifti(final / "case_c.nii.gz").data, make_label((1, 3, 5), CASE_SHIFTS["case_c"]).data)
     # nothing is known for unlabeled or held-out cases
     assert not load_nifti(final / "case_d.nii.gz").data.any()
     assert not load_nifti(final / "case_f.nii.gz").data.any()
@@ -728,12 +727,13 @@ def test_own_labels_of_a_teacher_are_zeros_x_fastest(fixture_dataset, tmp_path):
 @pytest.mark.parametrize("trust", [False, True])
 def test_ground_truth_overrides_external_votes(fixture_dataset, tmp_path, trust):
     manifest, _ = _load(fixture_dataset)
-    gt = make_label((1, 3, 5)).data  # case_c, organ_only (1, 3, 5)
+    shift = CASE_SHIFTS["case_c"]
+    gt = make_label((1, 3, 5), shift).data  # case_c, organ_only (1, 3, 5)
     dirs = {}
     for name, split_vote in (("e1", 7), ("e2", 8)):
         data = np.zeros_like(gt)
-        data[blob_slices(1)] = 2  # inside GT foreground: both sources say organ 2
-        data[blob_slices(14)] = 14  # outside it, a class case_c does not annotate
+        data[blob_slices(1, shift)] = 2  # inside GT foreground: both sources say organ 2
+        data[blob_slices(14, shift)] = 14  # outside it, a class case_c does not annotate
         data[0:2, 0:2, 0:2] = 3  # outside it, a class case_c annotates
         data[20:22, 20:22, 0:2] = split_vote  # the sources disagree: own (0) wins the tie
         dirs[name] = tmp_path / name
@@ -748,7 +748,7 @@ def test_ground_truth_overrides_external_votes(fixture_dataset, tmp_path, trust)
     run_pipeline(manifest, config, tmp_path / "work")
 
     want = gt.copy()
-    want[blob_slices(14)] = 14
+    want[blob_slices(14, shift)] = 14
     want[0:2, 0:2, 0:2] = 0 if trust else 3
     got = load_nifti(tmp_path / "work" / "final" / "case_c.nii.gz").data
     assert np.array_equal(got, want)
@@ -861,11 +861,10 @@ def test_phases_run_in_fixed_order(completed_run):
     ]
     assert [h["eval"]["mean_dsc"] for h in history[:4]] == [0.0, 0.25, 0.25, 1.0]
     assert all(h["failed"] == [] for h in history)
-    want = make_label((1, 3, 5, 14)).data
     assert sorted(completed_run["report"]["final_labels"]) == [f"case_{s}" for s in "abcdef"]
     for cid in completed_run["report"]["final_labels"]:
         got = load_nifti(completed_run["work"] / "final" / f"{cid}.nii.gz")
-        assert np.array_equal(got.data, want), cid
+        assert np.array_equal(got.data, make_label((1, 3, 5, 14), CASE_SHIFTS[cid]).data), cid
 
 
 def test_resume_after_the_last_tumor_round(completed_run, tmp_path, monkeypatch):
@@ -970,7 +969,7 @@ def test_labels_mode_contract(fixture_dataset, tmp_path):
     report = run_pipeline(manifest, config, tmp_path / "work")
     scores = [h["eval"]["mean_dsc"] for h in report["history"][:4]]
     assert scores[-1] == 1.0
-    want = make_label((1, 3, 5, 14)).data
+    want = make_label((1, 3, 5, 14), CASE_SHIFTS["case_f"]).data
     got = load_nifti(tmp_path / "work" / "final" / "case_f.nii.gz")
     assert np.array_equal(got.data, want)
 

@@ -1,6 +1,8 @@
-"""A round stages its predict inputs on one worker thread while its
-segmenter trains, and every way that overlap can end leaves the run as a
-sequential one would."""
+"""Segmenter commands run on a worker thread that only waits on them, while
+the calling thread stages a round's predict inputs during its train, stages
+the first organ round during the tumor phase's last predict and fuses the
+tumor phase while the organ phase trains; every way such an overlap can
+end leaves the run as a sequential one would."""
 import errno
 import importlib
 import json
@@ -19,7 +21,7 @@ from voxseg import cli, pipeline
 from voxseg.errors import SegmenterError
 from voxseg.fixture import make_fixture
 from voxseg.nifti import load_nifti
-from voxseg.pipeline import _student_records, run_phase, run_pipeline
+from voxseg.pipeline import _student_records, _teacher_records, run_phase, run_pipeline
 from voxseg.state import PipelineState
 from voxseg.tta import enumerate_flips
 
@@ -80,7 +82,8 @@ def test_predict_inputs_are_staged_while_the_train_runs(fixture_dataset, tmp_pat
 
 def test_no_two_traced_calls_overlap(fixture_dataset, tmp_path, monkeypatch):
     # the benchmark's tracer keeps one stack of open spans, which is exact
-    # only while a call on one thread never overlaps a call on another
+    # only while every traced call runs on one thread; the whole run covers
+    # the staging during each train and the tumor fuse during the organ train
     calls = []
 
     def recorded(fn, name):
@@ -97,17 +100,115 @@ def test_no_two_traced_calls_overlap(fixture_dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(mod, attr, recorded(getattr(mod, attr), span))
     monkeypatch.setattr(PipelineState, "persist", recorded(PipelineState.persist, "state.write"))
     manifest, config = _load(fixture_dataset)
-    state = PipelineState.fresh(tmp_path / "state.json", config)
-    run_phase(state, manifest, config)
+    run_pipeline(manifest, config, tmp_path / "work")
 
-    assert len({thread for _, _, thread, _ in calls}) == 2  # the flips were staged on a worker
+    names = {name for _, _, _, name in calls}
+    assert {"nifti.save", "tta.flip", "state.write"} <= names
+    assert {thread for _, _, thread, _ in calls} == {threading.main_thread().ident}
     calls.sort()
     for i, (start, end, thread, name) in enumerate(calls):
         for later_start, later_end, later_thread, later in calls[i + 1:]:
             if later_start >= end:
                 break
-            # only a call nested inside another on the same thread may overlap it
-            assert later_thread == thread and later_end <= end, f"{later} overlaps {name}"
+            # only a call nested inside another may overlap it
+            assert later_end <= end, f"{later} overlaps {name}"
+
+
+def test_the_tumor_phase_fuses_while_the_organ_phase_trains(tmp_path, monkeypatch):
+    data = make_fixture(tmp_path / "data", rounds=(1, 1))
+    manifest, config = _load(data)
+    students = [r.case_id for r in _student_records(manifest, config, "tumor")]
+    fused = [str(tmp_path / "work" / "pseudo_tumor" / f"{c}.nii.gz") for c in students]
+    # the organ train exits 1 unless pseudo_tumor/ fills while it runs
+    config = _with_train(config, _train_cmd(tmp_path, (
+        "if Path(train_dir).parent.name.startswith('organ'):\n"
+        f"    fused = [Path(p) for p in {fused!r}]\n"
+        "    if all(p.exists() for p in fused):\n"
+        "        sys.exit(1)\n"
+        "    wait_until(lambda: all(p.exists() for p in fused), 10)\n"
+        "mock_train()\n"
+    )))
+    real_save = pipeline.save_nifti
+
+    def slow_tumor_save(vol, path, *args, **kwargs):
+        if os.path.basename(os.path.dirname(path)) == "pseudo_tumor":
+            time.sleep(0.25)  # the train has started before the last student is saved
+        return real_save(vol, path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "save_nifti", slow_tumor_save)
+    report = run_pipeline(manifest, config, tmp_path / "work")
+    assert [(h["phase"], h["failed"]) for h in report["history"]] == [
+        ("tumor", []), ("organ", []), ("merge", []),
+    ]
+    # the state writes of a sequential run: the early train adds none
+    assert json.loads((tmp_path / "work" / "state.json").read_text())["persist_count"] == 22
+
+
+def test_the_organ_round_is_staged_while_the_tumor_phase_predicts(tmp_path):
+    data = make_fixture(tmp_path / "data", rounds=(1, 1))
+    manifest, config = _load(data)
+    organ = tmp_path / "work" / "rounds" / "organ_r0"
+    want = [organ / "predict_images" / f"{r.case_id}__tta{s.tag}.nii.gz"
+            for r in _student_records(manifest, config, "organ") for s in enumerate_flips()]
+    want += [organ / "train_labels" / f"{r.case_id}.nii.gz" for r in _teacher_records(manifest, config, "organ")]
+    # the tumor predict exits 1 unless the organ round is staged while it runs
+    script = tmp_path / "predict.py"
+    script.write_text(
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from voxseg import mock_segmenter\n"
+        "model_dir, input_dir, output_dir = sys.argv[1:4]\n"
+        "if Path(model_dir).parent.name.startswith('tumor'):\n"
+        f"    want = [Path(p) for p in {[str(p) for p in want]!r}]\n"
+        "    deadline = time.monotonic() + 10\n"
+        "    while not all(p.exists() for p in want):\n"
+        "        if time.monotonic() > deadline:\n"
+        "            sys.exit(1)\n"
+        "        time.sleep(0.005)\n"
+        "mock_segmenter.predict(model_dir, input_dir, output_dir, 'probabilities')\n"
+    )
+    config = replace(config, segmenter=replace(
+        config.segmenter, predict_cmd=f"{EXE} {script} {{model_dir}} {{input_dir}} {{output_dir}}"
+    ))
+    report = run_pipeline(manifest, config, tmp_path / "work")
+    assert [(h["phase"], h["failed"]) for h in report["history"]] == [
+        ("tumor", []), ("organ", []), ("merge", []),
+    ]
+    train_log = (organ / "logs" / "train.log").read_text()
+    assert len([line for line in train_log.splitlines() if line.startswith("$ ")]) == 1
+
+
+def test_a_failed_organ_train_surfaces_at_the_organ_train_step(tmp_path):
+    data = make_fixture(tmp_path / "data", rounds=(1, 1))
+    manifest, config = _load(data)
+    config = _with_train(config, _train_cmd(tmp_path, (
+        "if Path(train_dir).parent.name.startswith('organ'):\n"
+        "    sys.exit(1)\n"
+        "mock_train()\n"
+    )))
+    work = tmp_path / "work"
+    with pytest.raises(SegmenterError, match="train command exited with 1"):
+        run_pipeline(manifest, config, work)
+    ondisk = json.loads((work / "state.json").read_text())
+    assert (ondisk["phase"], ondisk["round"], ondisk["step"]) == ("organ", 0, "train")
+    assert [(h["phase"], h["round"], h["failed"]) for h in ondisk["history"]] == [("tumor", 0, [])]
+    assert not (work / "rounds" / "organ_r0" / "predict_raw").exists()
+
+
+def test_an_unreadable_organ_teacher_stops_the_run_before_the_organ_train(tmp_path, capsys):
+    data = make_fixture(tmp_path / "data", rounds=(1, 1))
+    image = data["root"] / "images" / "case_c.nii.gz"  # an organ teacher and a tumor student
+    image.write_bytes(image.read_bytes()[: image.stat().st_size // 2])
+    work = tmp_path / "work"
+    argv = ["run", "--manifest", str(data["manifest"]), "--config", str(data["config"]), "--work", str(work)]
+    assert cli.main(argv) == 1
+    assert "case 'case_c': cannot read its image" in capsys.readouterr().err
+    ondisk = json.loads((work / "state.json").read_text())
+    assert (ondisk["phase"], ondisk["round"], ondisk["step"]) == ("organ", 0, "train")
+    assert [(h["phase"], h["round"], h["failed"]) for h in ondisk["history"]] == [("tumor", 0, ["case_c"])]
+    train_log = work / "rounds" / "organ_r0" / "logs" / "train.log"
+    assert not train_log.exists() or "$ " not in train_log.read_text()
+    assert not (work / "report.json").exists()
 
 
 def _run_argv(manifest, config, work, launcher=("-m", "voxseg")):
@@ -115,17 +216,22 @@ def _run_argv(manifest, config, work, launcher=("-m", "voxseg")):
             "--work", str(work)]
 
 
+def _staged(path) -> bool:
+    """True for a predict input that a round stages."""
+    return os.path.basename(os.path.dirname(path)) == "predict_images"
+
+
 # `voxseg run` with each staged save delayed, so that a kill can land
 # between two flips of the fixture's small images
 SLOW_STAGING_RUN = """\
-import sys, threading, time
+import os, sys, time
 from voxseg import cli, pipeline
 real_save = pipeline.save_nifti
 
-def slow_staging_save(*args, **kwargs):
-    if threading.current_thread() is not threading.main_thread():
+def slow_staging_save(vol, path, *args, **kwargs):
+    if os.path.basename(os.path.dirname(path)) == "predict_images":
         time.sleep(0.05)
-    return real_save(*args, **kwargs)
+    return real_save(vol, path, *args, **kwargs)
 
 pipeline.save_nifti = slow_staging_save
 sys.exit(cli.main(sys.argv[1:]))
@@ -180,10 +286,10 @@ def test_failed_train_stops_the_staging_after_the_student_in_flight(
 ):
     real_save = pipeline.save_nifti
 
-    def slow_staging_save(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
+    def slow_staging_save(vol, path, *args, **kwargs):
+        if _staged(path):
             time.sleep(0.1)  # a student takes 0.8 s to stage, the whole round 3.2 s
-        return real_save(*args, **kwargs)
+        return real_save(vol, path, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "save_nifti", slow_staging_save)
     manifest, config = _load(fixture_dataset)
@@ -339,6 +445,35 @@ def test_interrupt_during_the_train_ends_the_run_and_its_train(fixture_dataset, 
         train_pid = int(pid_file.read_text())
         run.send_signal(signal.SIGINT)
         assert run.wait(timeout=5) != 0
+        deadline = time.monotonic() + 1.0
+        while _running(train_pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(train_pid)
+    finally:
+        run.kill()
+        run.wait()
+        if pid_file.exists() and pid_file.read_text() and _running(int(pid_file.read_text())):
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+def test_a_killed_run_leaves_no_train_running(fixture_dataset, tmp_path):
+    pid_file = tmp_path / "train.pid"
+    body = f"Path({str(pid_file)!r}).write_text(str(os.getpid()))\ntime.sleep(60)\n"
+    config = json.loads(fixture_dataset["config"].read_text())
+    config["segmenter"]["train_cmd"] = _train_cmd(tmp_path, body)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    run = subprocess.Popen(
+        _run_argv(fixture_dataset["manifest"], config_path, tmp_path / "work"), stderr=subprocess.DEVNULL
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline, "the train never started"
+            time.sleep(0.05)
+        train_pid = int(pid_file.read_text())
+        run.kill()
+        assert run.wait(timeout=5) == -signal.SIGKILL
         deadline = time.monotonic() + 1.0
         while _running(train_pid) and time.monotonic() < deadline:
             time.sleep(0.02)
